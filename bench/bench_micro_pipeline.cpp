@@ -406,6 +406,40 @@ void BM_FleetIncrementalSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetIncrementalSparse)->Arg(50)->Arg(100)->Arg(200)->Arg(400);
 
+/// The steady state of a deployed fleet: every upload replaces a known
+/// user's trace.  The fleet of N users (50 instances each) is built once;
+/// one iteration re-uploads every user from the other of two variants,
+/// then takes one snapshot — a gateway burst followed by its publish.
+/// Step 1 runs before timing (add_analyzed, as a service shard applies
+/// it), so time/N is the amortized per-re-upload apply + snapshot cost.
+void BM_FleetReupload(benchmark::State& state) {
+  const int fleet = static_cast<int>(state.range(0));
+  std::vector<core::AnalyzedTrace> variants[2];
+  for (int v = 0; v < 2; ++v) {
+    for (const trace::TraceBundle& bundle :
+         synthetic_bundles(fleet, 50, /*seed=*/7 + v)) {
+      variants[v].push_back(core::estimate_event_power(bundle));
+    }
+  }
+  core::AnalysisConfig config;
+  config.num_threads = 1;
+  core::FleetAnalyzer analyzer(config);
+  for (const core::AnalyzedTrace& trace : variants[0]) {
+    analyzer.add_analyzed(trace);
+  }
+  benchmark::DoNotOptimize(analyzer.snapshot());
+  int next = 1;
+  for (auto _ : state) {
+    for (const core::AnalyzedTrace& trace : variants[next]) {
+      analyzer.add_analyzed(trace);
+    }
+    benchmark::DoNotOptimize(analyzer.snapshot());
+    next = 1 - next;
+  }
+  state.SetItemsProcessed(state.iterations() * fleet);
+}
+BENCHMARK(BM_FleetReupload)->Arg(32)->Arg(128)->Arg(512);
+
 void BM_NoSleepStaticAnalysis(benchmark::State& state) {
   const workload::AppCase app = workload::k9_mail_case();
   const android::Apk apk = android::build_apk(app.buggy);

@@ -94,7 +94,13 @@ void FleetAnalyzer::sync_id_bound() {
   bases_.resize(id_bound, 0.0);
   event_dirty_.resize(id_bound, 0);
   traces_with_event_.resize(id_bound);
-  seen_scratch_.resize(id_bound, 0);
+}
+
+void FleetAnalyzer::mark_event_dirty(EventId id) {
+  if (event_dirty_[id] == 0) {
+    event_dirty_[id] = 1;
+    dirty_events_.push_back(id);
+  }
 }
 
 void FleetAnalyzer::add_bundle(const trace::TraceBundle& bundle) {
@@ -118,77 +124,86 @@ void FleetAnalyzer::add_bundles(std::span<const trace::TraceBundle> bundles) {
 void FleetAnalyzer::apply_arrival(AnalyzedTrace analyzed) {
   sync_id_bound();
   ++arrivals_;
-  const auto mark_event_dirty = [this](EventId id) {
-    if (event_dirty_[id] == 0) {
-      event_dirty_[id] = 1;
-      dirty_events_.push_back(id);
-    }
-  };
-
   const auto slot_it = index_by_user_.find(analyzed.user);
-  if (slot_it == index_by_user_.end()) {
-    // New user: append a fleet slot.  The arriving trace is last in
-    // arrival order, so appending its instances to the per-event
-    // distributions preserves the batch build's sequential traversal
-    // order exactly.  The position index doubles as the distinct-id list
-    // and carries per-event instance counts, which pre-size the
-    // distributions so append_trace never reallocates mid-arrival.
-    const std::size_t slot = result_.traces.size();
-    index_by_user_.emplace(analyzed.user, slot);
-    TraceCache cache;
-    cache.rebuild_index(analyzed, index_key_scratch_);
-    for (const TraceCache::Group& group : cache.groups) {
-      traces_with_event_[group.id].push_back(static_cast<std::uint32_t>(slot));
-      mark_event_dirty(group.id);
-      result_.ranking.reserve_event_extra(group.id, group.count);
-    }
-    result_.ranking.append_trace(analyzed);
-    result_.traces.push_back(std::move(analyzed));
-    cache_.push_back(std::move(cache));
-    trace_dirty_.push_back(1);
-    slot_moved_events_.emplace_back();
+  if (slot_it != index_by_user_.end()) {
+    replace_trace(slot_it->second, std::move(analyzed));
     return;
   }
 
-  // Re-upload: replace the user's trace in its original fleet slot.  The
-  // replaced instances sit mid-list in their events' distributions, so
-  // every event the old or new trace touches gets its power list (and its
-  // slot index) rebuilt by one pass over the fleet in slot order — the
-  // batch traversal order over the substituted bundle set.
-  const std::size_t slot = slot_it->second;
-  std::vector<EventId> affected;
-  const auto collect = [&](const AnalyzedTrace& trace) {
-    for (const PoweredEvent& event : trace.events) {
-      if (seen_scratch_[event.id] != 0) continue;
-      seen_scratch_[event.id] = 1;
-      affected.push_back(event.id);
-    }
-  };
-  collect(result_.traces[slot]);
-  collect(analyzed);
-  result_.traces[slot] = std::move(analyzed);
-  cache_[slot].rebuild_index(result_.traces[slot], index_key_scratch_);
-  trace_dirty_[slot] = 1;
-
-  const std::size_t id_bound = bases_.size();
-  std::vector<std::vector<double>> rebuilt_powers(id_bound);
-  std::vector<std::vector<std::uint32_t>> rebuilt_slots(id_bound);
-  for (std::size_t s = 0; s < result_.traces.size(); ++s) {
-    for (const PoweredEvent& event : result_.traces[s].events) {
-      if (seen_scratch_[event.id] == 0) continue;
-      rebuilt_powers[event.id].push_back(event.raw_power);
-      std::vector<std::uint32_t>& slots = rebuilt_slots[event.id];
-      if (slots.empty() || slots.back() != s) {
-        slots.push_back(static_cast<std::uint32_t>(s));
-      }
-    }
+  // New user: append a fleet slot.  The arriving trace is last in
+  // arrival order, so appending its instances to the per-event
+  // distributions preserves the batch build's sequential traversal
+  // order exactly.  The position index doubles as the distinct-id list
+  // and carries per-event instance counts, which pre-size the
+  // distributions so append_trace never reallocates mid-arrival.
+  const std::size_t slot = result_.traces.size();
+  index_by_user_.emplace(analyzed.user, slot);
+  TraceCache cache;
+  cache.rebuild_index(analyzed, index_key_scratch_);
+  for (const TraceCache::Group& group : cache.groups) {
+    traces_with_event_[group.id].push_back(
+        {static_cast<std::uint32_t>(slot), group.count});
+    mark_event_dirty(group.id);
+    result_.ranking.reserve_event_extra(group.id, group.count);
   }
-  for (EventId id : affected) {
-    seen_scratch_[id] = 0;
-    result_.ranking.set_event_powers(id, std::move(rebuilt_powers[id]));
-    traces_with_event_[id] = std::move(rebuilt_slots[id]);
+  result_.ranking.append_trace(analyzed);
+  result_.traces.push_back(std::move(analyzed));
+  cache_.push_back(std::move(cache));
+  trace_dirty_.push_back(1);
+  slot_moved_events_.emplace_back();
+}
+
+void FleetAnalyzer::replace_trace(std::size_t slot, AnalyzedTrace analyzed) {
+  // Re-upload: replace the user's trace in its original fleet slot.  Each
+  // distribution holds the fleet's instances in slot order (the batch
+  // traversal order), so this slot's instances of one event are one
+  // contiguous run, offset by the counts of the slots before it.  The
+  // events of old ∪ new come from a merge of the two id-sorted position
+  // indexes; each one's run is spliced from the old trace's powers to the
+  // new one's, so nothing outside the touched distributions is read.
+  TraceCache& cache = cache_[slot];
+  old_groups_.swap(cache.groups);
+  cache.rebuild_index(analyzed, index_key_scratch_);
+  const auto slot_key = static_cast<std::uint32_t>(slot);
+  auto old_group = old_groups_.cbegin();
+  auto new_group = cache.groups.cbegin();
+  while (old_group != old_groups_.cend() || new_group != cache.groups.cend()) {
+    const EventId old_id =
+        old_group != old_groups_.cend() ? old_group->id : kInvalidEventId;
+    const EventId new_id =
+        new_group != cache.groups.cend() ? new_group->id : kInvalidEventId;
+    const EventId id = std::min(old_id, new_id);
+    const std::uint32_t old_count = old_id == id ? (old_group++)->count : 0;
+    splice_powers_.clear();
+    if (new_id == id) {
+      for (std::uint32_t i = 0; i < new_group->count; ++i) {
+        const std::uint32_t position = cache.positions[new_group->begin + i];
+        splice_powers_.push_back(analyzed.events[position].raw_power);
+      }
+      ++new_group;
+    }
+    const auto new_count = static_cast<std::uint32_t>(splice_powers_.size());
+
+    std::vector<SlotCount>& holders = traces_with_event_[id];
+    const auto entry = std::lower_bound(
+        holders.begin(), holders.end(), slot_key,
+        [](const SlotCount& holder, std::uint32_t key) {
+          return holder.slot < key;
+        });
+    std::size_t offset = 0;
+    for (auto it = holders.begin(); it != entry; ++it) offset += it->count;
+    result_.ranking.splice_event(id, offset, old_count, splice_powers_);
+    if (new_count == 0) {
+      holders.erase(entry);
+    } else if (old_count == 0) {
+      holders.insert(entry, {slot_key, new_count});
+    } else {
+      entry->count = new_count;
+    }
     mark_event_dirty(id);
   }
+  result_.traces[slot] = std::move(analyzed);
+  trace_dirty_[slot] = 1;
 }
 
 void FleetAnalyzer::full_refresh(std::size_t slot) {
@@ -344,16 +359,13 @@ const AnalysisResult& FleetAnalyzer::snapshot() {
 
   // Work-list: cold slots (new or replaced traces) re-run the full
   // kernels; clean slots containing a moved-base event take the delta
-  // path, each carrying its own list of moved events.  The per-slot
-  // position index filters the stale entries a replacement may have left
-  // in traces_with_event_.
+  // path, each carrying its own list of moved events.
   delta_slots_.clear();
   for (EventId id : moved_events_) {
-    for (std::uint32_t slot : traces_with_event_[id]) {
-      if (trace_dirty_[slot] != 0) continue;
-      if (cache_[slot].positions_of(id).empty()) continue;  // stale entry
-      std::vector<EventId>& moved = slot_moved_events_[slot];
-      if (moved.empty()) delta_slots_.push_back(slot);
+    for (const SlotCount& holder : traces_with_event_[id]) {
+      if (trace_dirty_[holder.slot] != 0) continue;
+      std::vector<EventId>& moved = slot_moved_events_[holder.slot];
+      if (moved.empty()) delta_slots_.push_back(holder.slot);
       moved.push_back(id);
     }
   }

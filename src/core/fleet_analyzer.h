@@ -11,7 +11,12 @@
 //   add_bundle   runs Step 1 (the power-join, the expensive per-trace
 //                work) for the arriving bundle only and appends its
 //                instances into the id-indexed EventRanking, marking the
-//                touched EventIds dirty;
+//                touched EventIds dirty.  A re-upload splices its
+//                instances over the replaced trace's, in place, in each
+//                touched event's distribution: an exact inverted index
+//                (EventId -> slot-sorted {slot, instance count}) gives
+//                the splice offset, so the cost is the touched
+//                distributions, never a walk over the fleet;
 //   snapshot     re-runs Steps 2-5 incrementally — recomputes base
 //                powers for dirty events only, then repairs the traces a
 //                moved base touched at sub-trace granularity: scatter
@@ -170,6 +175,11 @@ class FleetAnalyzer {
 
   /// Commits one Step-1 result into the fleet state (append or replace).
   void apply_arrival(AnalyzedTrace analyzed);
+  /// Re-upload path of apply_arrival: splices `analyzed` over the trace
+  /// in `slot`, event by event.
+  void replace_trace(std::size_t slot, AnalyzedTrace analyzed);
+  /// Flags `id` for a base re-derive at the next snapshot.
+  void mark_event_dirty(EventId id);
   /// Grows every id-indexed side table to the symbol table's current size.
   void sync_id_bound();
   /// Cold path: full renormalize + detect for a new/replaced slot.
@@ -199,18 +209,24 @@ class FleetAnalyzer {
   /// Fleet slots that must take the cold path at the next snapshot (new
   /// or replaced arrivals).
   std::vector<std::uint8_t> trace_dirty_;
-  /// EventId -> fleet slots whose trace contains that event, appended in
-  /// arrival order.  A replacement rebuilds the lists of the events it
-  /// touches; other lists may keep a stale slot (the slot's new trace no
-  /// longer has the event), which the per-slot position index filters out
-  /// at snapshot time.
-  std::vector<std::vector<std::uint32_t>> traces_with_event_;
-  /// Per-arrival scratch: one flag per EventId (id_bound-sized) used to
-  /// dedupe the distinct ids of a trace without allocating per call.
-  std::vector<std::uint8_t> seen_scratch_;
+  /// One fleet slot holding an event, with its number of instances of it.
+  struct SlotCount {
+    std::uint32_t slot{0};
+    std::uint32_t count{0};
+  };
+  /// EventId -> exactly the fleet slots whose current trace contains that
+  /// event, ascending by slot.  A distribution's powers are the slots'
+  /// instances concatenated in slot order, so the counts before a slot
+  /// are its offset in the distribution.  A new user appends its entries;
+  /// a re-upload inserts, updates or erases only its own slot's entry.
+  std::vector<std::vector<SlotCount>> traces_with_event_;
   /// Per-arrival scratch: the packed-key arena rebuild_index sorts in, so
   /// indexing a long arriving trace allocates nothing once warm.
   std::vector<std::uint64_t> index_key_scratch_;
+  /// Per-re-upload scratch: the replaced trace's position groups, and one
+  /// event's incoming powers in trace order.
+  std::vector<TraceCache::Group> old_groups_;
+  std::vector<double> splice_powers_;
 
   // Snapshot scratch, reused across snapshots.
   /// Events whose base moved bitwise this snapshot.

@@ -92,6 +92,88 @@ void EventPowerDistribution::append_powers(std::vector<double>&& powers) {
   sorted_valid_.store(false, std::memory_order_release);
 }
 
+namespace {
+
+/// Replaces values[offset, offset + count) with `with`: overwrites the
+/// common prefix in place and shifts the tail once when the sizes differ.
+void replace_range(std::vector<double>& values, std::size_t offset,
+                   std::size_t count, std::span<const double> with) {
+  const std::size_t common = std::min(count, with.size());
+  const auto first = values.begin() + static_cast<std::ptrdiff_t>(offset);
+  std::copy_n(with.begin(), common, first);
+  if (with.size() < count) {
+    values.erase(first + static_cast<std::ptrdiff_t>(common),
+                 first + static_cast<std::ptrdiff_t>(count));
+  } else {
+    values.insert(first + static_cast<std::ptrdiff_t>(common),
+                  with.begin() + static_cast<std::ptrdiff_t>(common),
+                  with.end());
+  }
+}
+
+/// Removes the ascending `removed` values from the ascending `sorted`,
+/// then inserts the ascending `added` values, with block moves only: the
+/// gaps close left to right, the new slots open right to left, so each
+/// pass shifts an element at most once.  Returns false, leaving `sorted`
+/// unspecified, when a removed value is absent.
+bool splice_sorted(std::vector<double>& sorted,
+                   std::span<const double> removed,
+                   std::span<const double> added) {
+  if (!removed.empty()) {
+    auto read = std::lower_bound(sorted.begin(), sorted.end(), removed[0]);
+    auto write = read;
+    for (const double value : removed) {
+      const auto hit = std::lower_bound(read, sorted.end(), value);
+      if (hit == sorted.end() || *hit != value) return false;
+      write = std::move(read, hit, write);
+      read = hit + 1;
+    }
+    sorted.erase(std::move(read, sorted.end(), write), sorted.end());
+  }
+  const std::size_t kept = sorted.size();
+  sorted.resize(kept + added.size());
+  auto unmoved_end = sorted.begin() + static_cast<std::ptrdiff_t>(kept);
+  auto slot = sorted.end();
+  for (auto value = added.rbegin(); value != added.rend(); ++value) {
+    const auto at = std::upper_bound(sorted.begin(), unmoved_end, *value);
+    slot = std::move_backward(at, unmoved_end, slot);
+    *--slot = *value;
+    unmoved_end = at;
+  }
+  return true;
+}
+
+}  // namespace
+
+void EventPowerDistribution::splice(std::size_t offset, std::size_t count,
+                                    std::span<const double> replacement) {
+  if (offset > powers_.size() || count > powers_.size() - offset) {
+    throw InvalidArgument(
+        "EventPowerDistribution::splice: range out of bounds");
+  }
+  if (sorted_valid_.load(std::memory_order_acquire)) {
+    // Keep a live cache live (see add_power): drop the sorted outgoing
+    // values, then merge in the sorted incoming ones.  UtilizationTrace
+    // rejects NaN samples, so values compare exactly and the result is
+    // the unique ascending order of the new multiset — bitwise what a
+    // fresh sort would build.  A NaN can still come out of Step 1 when
+    // finite samples overflow its prefix sums; it matches no cache entry,
+    // so the cache is then dropped and re-sorted on the next read.
+    thread_local std::vector<double> removed;
+    thread_local std::vector<double> added;
+    const auto first = powers_.begin() + static_cast<std::ptrdiff_t>(offset);
+    removed.assign(first, first + static_cast<std::ptrdiff_t>(count));
+    added.assign(replacement.begin(), replacement.end());
+    std::sort(removed.begin(), removed.end());
+    std::sort(added.begin(), added.end());
+    std::lock_guard lock(sort_mutex_);
+    if (!splice_sorted(sorted_, removed, added)) {
+      sorted_valid_.store(false, std::memory_order_release);
+    }
+  }
+  replace_range(powers_, offset, count, replacement);
+}
+
 const std::vector<double>& EventPowerDistribution::sorted_powers() const {
   // Double-checked locking: readers that find a valid cache share it with
   // no lock at all; the first reader after an invalidation builds it under
@@ -235,12 +317,14 @@ void EventRanking::append_trace(const AnalyzedTrace& trace) {
   }
 }
 
-void EventRanking::set_event_powers(EventId id, std::vector<double> powers) {
+void EventRanking::splice_event(EventId id, std::size_t offset,
+                                std::size_t count,
+                                std::span<const double> replacement) {
   ensure_event_slots(static_cast<std::size_t>(id) + 1);
   EventPowerDistribution& distribution = by_id_[id];
   const bool was_live = distribution.instance_count() > 0;
-  const bool now_live = !powers.empty();
-  distribution.set_powers(std::move(powers));
+  distribution.splice(offset, count, replacement);
+  const bool now_live = distribution.instance_count() > 0;
   if (was_live && !now_live) --event_count_;
   if (!was_live && now_live) ++event_count_;
 }

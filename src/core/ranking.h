@@ -12,14 +12,18 @@
 // Steps 2-4 are array indexing, with no string hash or O(len) compare
 // anywhere.  Each distribution caches its powers in sorted order, so
 // percentile() is O(1) and rank_of() a binary search after the one-time
-// sort; add_power() keeps a live cache live with one ordered insert, which
-// is what makes repeated fleet snapshots (core/fleet_analyzer.h) cheap.
+// sort.  The two incremental mutations keep a live cache live: add_power()
+// (a new user's instances, appended) with one ordered insert, and
+// splice() (a re-upload's instances, replaced mid-list) with a block-move
+// merge — which is what makes repeated fleet snapshots
+// (core/fleet_analyzer.h) cheap.
 // The lazy rebuild is double-check-locked, so concurrent readers may
 // trigger it safely.
 #pragma once
 
 #include <atomic>
 #include <mutex>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -58,6 +62,14 @@ class EventPowerDistribution {
   /// Appends a block of powers (preserving their order); invalidates the
   /// sorted cache.  Steals the vector when the distribution is empty.
   void append_powers(std::vector<double>&& powers);
+  /// Replaces powers()[offset, offset + count) with `replacement`, in
+  /// order; the sizes may differ.  A valid sorted cache stays valid and
+  /// bitwise equal to a fresh sort: the replaced values are dropped from
+  /// it and the new ones merged in, with block moves (the ascending order
+  /// of a NaN-free multiset is unique).  An invalid cache stays invalid.
+  /// Throws InvalidArgument when the range is out of bounds.
+  void splice(std::size_t offset, std::size_t count,
+              std::span<const double> replacement);
 
   /// The powers in ascending order, sorted once and cached.  The first
   /// rebuild after an invalidation is guarded (double-checked lock), so
@@ -112,9 +124,12 @@ class EventRanking {
   /// arrival order therefore reproduces exactly the sequential traversal
   /// order of build() over the same traces.
   void append_trace(const AnalyzedTrace& trace);
-  /// Replaces one event's whole distribution (an empty vector empties the
-  /// slot).  Used when a re-uploaded trace invalidates mid-list powers.
-  void set_event_powers(EventId id, std::vector<double> powers);
+  /// Replaces the `count` instances of event `id` starting at `offset` of
+  /// its distribution with `replacement` (EventPowerDistribution::splice).
+  /// A re-uploaded trace's instances of one event form one such run,
+  /// because powers are kept in fleet-slot order.
+  void splice_event(EventId id, std::size_t offset, std::size_t count,
+                    std::span<const double> replacement);
   /// Pre-reserves capacity for `additional` upcoming instances of event
   /// `id`, killing reallocation churn when an arriving bundle's instance
   /// counts are known up front (see EventPowerDistribution::reserve_extra).

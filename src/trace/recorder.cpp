@@ -1,6 +1,8 @@
 #include "trace/recorder.h"
 
+#include <charconv>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -31,7 +33,17 @@ TraceBundle TraceBundle::from_text(const std::string& text) {
       !strings::starts_with(header, "user=")) {
     throw ParseError("TraceBundle::from_text: malformed BUNDLE header");
   }
-  bundle.user = std::stoi(header.substr(5, device_pos - 5));
+  // The whole field must be one decimal UserId: a trailing suffix
+  // ("0abc") or a non-number is a malformed upload, not user 0.
+  const std::string_view user_field =
+      std::string_view(header).substr(5, device_pos - 5);
+  const char* const user_end = user_field.data() + user_field.size();
+  const auto [parsed_end, ec] =
+      std::from_chars(user_field.data(), user_end, bundle.user);
+  if (ec != std::errc() || parsed_end != user_end) {
+    throw ParseError("TraceBundle::from_text: malformed user field '" +
+                     std::string(user_field) + "'");
+  }
   bundle.device_name = strings::trim(header.substr(device_pos + 8));
 
   std::string events_text;

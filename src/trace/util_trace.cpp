@@ -1,7 +1,9 @@
 #include "trace/util_trace.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <string>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -15,6 +17,17 @@ UtilizationTrace::UtilizationTrace(
 }
 
 void UtilizationTrace::build_index() {
+  // Every construction path lands here, so this is the one gate against
+  // non-finite power: std::from_chars accepts "nan" and "inf", and a NaN
+  // averaged into an event's raw power compares false against everything
+  // — it silently reorders the ranking's sorted caches and the report.
+  for (const power::UtilizationSample& sample : samples_) {
+    if (!std::isfinite(sample.estimated_app_power_mw)) {
+      throw ParseError(
+          "UtilizationTrace: non-finite estimated_app_power_mw at t=" +
+          std::to_string(sample.timestamp));
+    }
+  }
   const auto by_time = [](const power::UtilizationSample& a,
                           const power::UtilizationSample& b) {
     return a.timestamp < b.timestamp;

@@ -27,6 +27,9 @@ class AveragePowerCursor;
 class UtilizationTrace {
  public:
   UtilizationTrace() = default;
+  /// Throws ParseError when a sample's power estimate is NaN or infinite
+  /// (as do from_text and scale_power): such a value would poison every
+  /// event power averaged over it.
   UtilizationTrace(std::string device_name,
                    std::vector<power::UtilizationSample> samples);
 
@@ -59,8 +62,9 @@ class UtilizationTrace {
  private:
   friend class AveragePowerCursor;
 
-  /// Sorts samples by timestamp when needed, infers the period, and builds
-  /// the prefix-sum index.  Must be called whenever samples_ changes.
+  /// Rejects a NaN or infinite power estimate (ParseError), sorts samples
+  /// by timestamp when needed, infers the period, and builds the
+  /// prefix-sum index.  Must be called whenever samples_ changes.
   void build_index();
 
   /// Shared tail of the interval-average computation: three prefix-sum

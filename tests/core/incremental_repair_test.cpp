@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -155,8 +156,10 @@ power::UtilizationSample sample(TimestampMs timestamp, double power) {
 
 /// One upload: 36 events, a drain ramp with dips in the middle, rare
 /// event "R<user%4>" sprinkled in so most arrivals leave most other
-/// slots repairing only a handful of instances (the delta path).
-trace::TraceBundle ramp_bundle(UserId user, int variant) {
+/// slots repairing only a handful of instances (the delta path).  Without
+/// `with_rare` those instances log shared event "S3" instead, so a
+/// re-upload can take the rare event out of the user's trace.
+trace::TraceBundle ramp_bundle(UserId user, int variant, bool with_rare) {
   Rng rng(0xB0B + static_cast<std::uint64_t>(user) * 7919 +
           static_cast<std::uint64_t>(variant) * 104729);
   trace::TraceBundle bundle;
@@ -168,7 +171,7 @@ trace::TraceBundle ramp_bundle(UserId user, int variant) {
   for (int i = 0; i < events; ++i) {
     const TimestampMs t = static_cast<TimestampMs>(i) * 1000;
     std::string name = "S" + std::to_string(i % 4);
-    if (i % 9 == 5) name = "R" + std::to_string(user % 4);
+    if (i % 9 == 5) name = with_rare ? "R" + std::to_string(user % 4) : "S3";
     bundle.events.add_instance(name, {t + 10, t + 40});
 
     if (i >= 12 && i < 28) {
@@ -214,21 +217,53 @@ void expect_bitwise_equal(const AnalysisResult& batch,
     EXPECT_EQ(a.amplitude_quartiles.q1, b.amplitude_quartiles.q1);
     EXPECT_EQ(a.amplitude_quartiles.q3, b.amplitude_quartiles.q3);
   }
+
+  // Every distribution holds the batch's powers in batch order, and the
+  // live sorted caches the re-upload splice maintains equal a fresh sort
+  // bit for bit — equal values alone would hide a -0.0/0.0 or NaN slip.
+  EXPECT_EQ(batch.ranking.event_count(), incremental.ranking.event_count());
+  for (const EventPowerDistribution& dist : incremental.ranking.all()) {
+    if (dist.instance_count() == 0) continue;
+    SCOPED_TRACE("event=" + event_name(dist.id()));
+    EXPECT_EQ(batch.ranking.distribution(dist.id()).powers(), dist.powers());
+    std::vector<double> resorted = dist.powers();
+    std::sort(resorted.begin(), resorted.end());
+    const std::vector<double>& sorted = dist.sorted_powers();
+    ASSERT_EQ(sorted.size(), resorted.size());
+    EXPECT_EQ(std::memcmp(sorted.data(), resorted.data(),
+                          sorted.size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(IncrementalRepairTest, FleetRampArrivalsMatchBatchAtEveryPrefix) {
   // Arrival sequence mixing new users and re-uploads (variant bumps).
-  const std::pair<UserId, int> arrivals[] = {
-      {0, 0}, {1, 0}, {2, 0}, {0, 1}, {3, 0}, {4, 0},
-      {2, 1}, {5, 0}, {6, 0}, {1, 1}, {7, 0}, {0, 2},
+  // Rare event R<u%4> is held by users u and u+4; dropping it from a
+  // re-upload makes an event's last instance leave the fleet, and a later
+  // re-upload or new user brings it back:
+  //   R3 leaves at (3,1), returns by re-upload at (3,2), leaves at (3,3),
+  //   and returns with new user 7;
+  //   R0 leaves once both holders drop it — (0,3) then (4,1) — and
+  //   returns through mid-fleet slot 4 at (4,2).
+  struct Arrival {
+    UserId user;
+    int variant;
+    bool with_rare;
+  };
+  const Arrival arrivals[] = {
+      {0, 0, true},  {1, 0, true},  {2, 0, true},  {0, 1, true},
+      {3, 0, true},  {3, 1, false}, {4, 0, true},  {2, 1, true},
+      {3, 2, true},  {5, 0, true},  {3, 3, false}, {6, 0, true},
+      {1, 1, true},  {7, 0, true},  {0, 2, true},  {0, 3, false},
+      {4, 1, false}, {4, 2, true},  {0, 4, true},
   };
   for (std::size_t num_threads : {1u, 2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(num_threads));
     FleetAnalyzer fleet(fleet_config(num_threads));
     std::vector<trace::TraceBundle> latest;
     int step = 0;
-    for (const auto& [user, variant] : arrivals) {
-      const trace::TraceBundle bundle = ramp_bundle(user, variant);
+    for (const auto& [user, variant, with_rare] : arrivals) {
+      const trace::TraceBundle bundle = ramp_bundle(user, variant, with_rare);
       fleet.add_bundle(bundle);
       bool replaced = false;
       for (trace::TraceBundle& existing : latest) {

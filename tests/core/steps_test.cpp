@@ -1,7 +1,14 @@
 // Unit tests for the five analysis steps on hand-crafted traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
+#include "common/stats.h"
 #include "core/pipeline.h"
 
 namespace edx::core {
@@ -59,6 +66,92 @@ TEST(Step2Test, RanksOrderInstances) {
   EventPowerDistribution dist;
   dist.set_powers({30.0, 10.0, 20.0, 20.0});
   EXPECT_EQ(dist.ranks(), (std::vector<std::size_t>{4, 1, 2, 2}));
+}
+
+/// Bitwise equality of two double sequences (== would accept -0.0 for 0.0).
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(Step2Test, SpliceReplacesRunInOrderAndKeepsSortedCacheExact) {
+  // A re-upload replaces one fleet slot's run of instances mid-list.
+  // powers() must hold the spliced list in order; the sorted cache —
+  // maintained in place when live, rebuilt on demand when invalid — must
+  // equal a fresh sort bit for bit.  Duplicates straddle the run edges so
+  // a wrong multiset removal shows.
+  const std::vector<double> base = {30.0, 10.0, 20.0, 20.0, 50.0, 40.0, 10.0};
+  struct Case {
+    const char* name;
+    std::size_t offset;
+    std::size_t count;
+    std::vector<double> replacement;
+  };
+  const Case cases[] = {
+      {"shrink", 1, 3, {25.0}},
+      {"grow", 2, 1, {5.0, 60.0, 20.0, 10.0}},
+      {"same size", 3, 3, {45.0, 20.0, 1.0}},
+      {"to empty", 0, 7, {}},
+      {"insert", 4, 0, {35.0, 35.0}},
+  };
+  for (const Case& c : cases) {
+    for (const bool live : {true, false}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (live ? ", cache live" : ", cache invalid"));
+      EventPowerDistribution dist;
+      dist.set_powers(base);
+      if (live) {
+        ASSERT_EQ(dist.sorted_powers().size(), base.size());
+      }
+      dist.splice(c.offset, c.count, c.replacement);
+
+      std::vector<double> expected(base.begin(), base.begin() + c.offset);
+      expected.insert(expected.end(), c.replacement.begin(),
+                      c.replacement.end());
+      expected.insert(expected.end(), base.begin() + c.offset + c.count,
+                      base.end());
+      EXPECT_EQ(dist.powers(), expected);
+      std::sort(expected.begin(), expected.end());
+      EXPECT_TRUE(bitwise_equal(dist.sorted_powers(), expected));
+
+      // Then a run enters at the front — for "to empty", the event
+      // returning to the fleet.
+      dist.splice(0, 0, std::vector<double>{15.0, 5.0});
+      expected.insert(expected.begin(), {5.0, 15.0});
+      std::sort(expected.begin(), expected.end());
+      EXPECT_TRUE(bitwise_equal(dist.sorted_powers(), expected));
+      EXPECT_EQ(dist.percentile(50.0), stats::percentile(expected, 50.0));
+    }
+  }
+
+  EventPowerDistribution dist;
+  dist.set_powers(base);
+  EXPECT_THROW(dist.splice(5, 3, std::vector<double>{1.0}), InvalidArgument);
+  EXPECT_THROW(dist.splice(8, 0, std::vector<double>{1.0}), InvalidArgument);
+  EXPECT_EQ(dist.powers(), base);
+
+  // A NaN (which overflowing Step-1 sums can still produce) matches no
+  // cache entry: splicing it out drops the cache instead of corrupting it.
+  EventPowerDistribution poisoned;
+  poisoned.set_powers({1.0, std::nan(""), 3.0});
+  ASSERT_EQ(poisoned.sorted_powers().size(), 3u);
+  poisoned.splice(1, 1, std::vector<double>{2.0});
+  EXPECT_EQ(poisoned.sorted_powers(), (std::vector<double>{1.0, 2.0, 3.0}));
+}
+
+TEST(Step2Test, SpliceEventTracksLiveEventCount) {
+  std::vector<AnalyzedTrace> traces = {
+      estimate_event_power(step_bundle(0, 100.0, 300.0, 3, 6))};
+  EventRanking ranking = EventRanking::build(traces);
+  const EventId id = find_event("Lx/A;.onResume");
+  ASSERT_EQ(ranking.event_count(), 1u);
+  ranking.splice_event(id, 0, 6, {});
+  EXPECT_EQ(ranking.event_count(), 0u);
+  EXPECT_FALSE(ranking.contains(id));
+  ranking.splice_event(id, 0, 0, std::vector<double>{42.0});
+  EXPECT_EQ(ranking.event_count(), 1u);
+  EXPECT_EQ(ranking.distribution(id).powers(), std::vector<double>{42.0});
 }
 
 TEST(Step3Test, NormalizationDividesByBase) {

@@ -63,6 +63,21 @@ TEST(RecorderTest, BundleTextRoundTrip) {
 
 TEST(RecorderTest, FromTextRejectsGarbage) {
   EXPECT_THROW(TraceBundle::from_text("nope"), ParseError);
+
+  // The user field must be one whole decimal UserId: a numeric prefix
+  // ("0abc") is not user 0, and a non-number is a parse error, not a
+  // stray std::invalid_argument.
+  const std::string text = record_run(power::nexus6()).to_text();
+  const std::string prefix = "BUNDLE user=3 ";
+  ASSERT_EQ(text.rfind(prefix, 0), 0u);
+  const std::string body = text.substr(prefix.size());
+  EXPECT_EQ(TraceBundle::from_text("BUNDLE user=-7 " + body).user, -7);
+  for (const char* user : {"0abc", "x", "", "+3", "4294967296"}) {
+    SCOPED_TRACE(user);
+    EXPECT_THROW(
+        TraceBundle::from_text("BUNDLE user=" + std::string(user) + " " + body),
+        ParseError);
+  }
 }
 
 TEST(CollectionTest, UploadPolicyRequiresChargingAndWifi) {

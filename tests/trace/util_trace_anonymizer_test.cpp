@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "common/error.h"
 #include "trace/anonymizer.h"
 #include "trace/util_trace.h"
@@ -55,6 +58,21 @@ TEST(UtilTraceTest, TextRoundTrip) {
 TEST(UtilTraceTest, FromTextRejectsMalformed) {
   EXPECT_THROW(UtilizationTrace::from_text("no header"), ParseError);
   EXPECT_THROW(UtilizationTrace::from_text("DEVICE X\n1 2 3"), ParseError);
+
+  // std::from_chars reads these spellings; a non-finite power estimate
+  // would poison every event power averaged over it.
+  for (const char* power : {"nan", "inf", "-inf"}) {
+    SCOPED_TRACE(power);
+    EXPECT_THROW(UtilizationTrace::from_text(
+                     std::string("DEVICE X\n500 100 0 0 0 0 0 0 0\n1000 ") +
+                     power + " 0 0 0 0 0 0 0\n"),
+                 ParseError);
+  }
+  // The same gate guards construction and scaling.
+  EXPECT_THROW(UtilizationTrace("X", {make_sample(500, std::nan(""))}),
+               ParseError);
+  UtilizationTrace huge("X", {make_sample(500, 1e300)});
+  EXPECT_THROW(huge.scale_power(1e10), ParseError);
 }
 
 TEST(AnonymizerTest, ScrubsPhoneNumbers) {

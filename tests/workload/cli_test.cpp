@@ -133,6 +133,45 @@ TEST(CliTest, MalformedBundleExitsThree) {
   std::ostringstream out;
   std::ostringstream err;
   EXPECT_EQ(run({"analyze", dir}, out, err), 3);
+
+  // A well-framed bundle with one bad field is malformed too: ten NaN
+  // power samples (which once analyzed to exit 0 and a wrong report), or
+  // a user id that is not one whole decimal number.
+  const std::string fleet = temp_dir("badfield");
+  std::ostringstream log;
+  ASSERT_EQ(cmd_simulate(1, fleet, /*users=*/6, /*seed=*/42, log), 0);
+  const std::string path = fleet + "/bundle_0.txt";
+  std::stringstream original;
+  original << std::ifstream(path).rdbuf();
+  const auto exit_with = [&](const std::string& text) {
+    std::ofstream(path) << text;
+    std::ostringstream report;
+    std::ostringstream errors;
+    return run({"analyze", fleet}, report, errors);
+  };
+  ASSERT_EQ(exit_with(original.str()), 0);
+
+  std::istringstream lines(original.str());
+  std::string nan_text;
+  int nan_samples = 0;
+  bool in_samples = false;
+  for (std::string line; std::getline(lines, line);) {
+    if (in_samples && nan_samples < 10 && !line.starts_with("DEVICE")) {
+      const std::size_t power = line.find(' ') + 1;
+      line.replace(power, line.find(' ', power) - power, "nan");
+      ++nan_samples;
+    }
+    in_samples = in_samples || line == "[utilization]";
+    nan_text += line + "\n";
+  }
+  ASSERT_EQ(nan_samples, 10);
+  EXPECT_EQ(exit_with(nan_text), 3);
+
+  const std::string header = "BUNDLE user=0 ";
+  ASSERT_TRUE(original.str().starts_with(header));
+  const std::string body = original.str().substr(header.size());
+  EXPECT_EQ(exit_with("BUNDLE user=0abc " + body), 3);
+  EXPECT_EQ(exit_with("BUNDLE user=x " + body), 3);
 }
 
 TEST(CliTest, AnalyzePositionalOptionsAreRemoved) {
