@@ -1,5 +1,6 @@
-// Microbenchmarks (google-benchmark) for the durable store.  Not a paper
-// figure — harness health:
+// Microbenchmarks (google-benchmark) for the durable store, one tenant in
+// one ShardStore (the shape of `ingest --store`).  Not a paper figure —
+// harness health:
 //
 //   BM_StoreIngest/<bundles>/<policy>/<events>
 //       group-commit ingest throughput (append_async + one flush) under
@@ -21,13 +22,16 @@
 #include <vector>
 
 #include "core/fleet_analyzer.h"
-#include "store/fleet_store.h"
+#include "store/shard_store.h"
 #include "trace/recorder.h"
 
 namespace {
 
 using namespace edx;
 namespace fs = std::filesystem;
+
+/// The single tenant every fixture stores, as `ingest --store` does.
+constexpr char kTenant[] = "default";
 
 std::vector<trace::TraceBundle> synthetic_bundles(int traces, int events,
                                                   std::uint64_t seed = 7) {
@@ -81,11 +85,12 @@ void BM_StoreIngest(benchmark::State& state) {
     state.PauseTiming();
     fs::remove_all(dir);
     state.ResumeTiming();
-    store::FleetStore fleet_store = store::FleetStore::open(dir, options);
+    store::ShardStore shard_store = store::ShardStore::open(dir, options);
+    const store::TenantId id = shard_store.ensure_tenant(kTenant);
     for (const trace::TraceBundle& bundle : bundles) {
-      fleet_store.append_async(bundle);
+      shard_store.append_async(id, bundle);
     }
-    fleet_store.flush();
+    shard_store.flush();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
   fs::remove_all(dir);
@@ -108,26 +113,27 @@ void BM_StoreRecover(benchmark::State& state) {
   store::StoreOptions build;
   {
     // Size segments so the fixture spans the requested file count.
-    store::FleetStore probe = store::FleetStore::open(dir);
-    probe.append(bundles[0]);
+    store::ShardStore probe = store::ShardStore::open(dir);
+    probe.append(probe.ensure_tenant(kTenant), bundles[0]);
     build.segment_target_bytes =
         std::max<std::size_t>(64, fs::file_size(dir + "/wal-1.edx") *
                                       kBundles / segments);
   }
   fs::remove_all(dir);
   {
-    store::FleetStore fleet_store = store::FleetStore::open(dir, build);
+    store::ShardStore shard_store = store::ShardStore::open(dir, build);
+    const store::TenantId id = shard_store.ensure_tenant(kTenant);
     for (const trace::TraceBundle& bundle : bundles) {
-      fleet_store.append_async(bundle);
+      shard_store.append_async(id, bundle);
     }
-    fleet_store.flush();
+    shard_store.flush();
   }
   store::StoreOptions recover;
   recover.segment_target_bytes = build.segment_target_bytes;
   recover.recovery_threads = static_cast<std::size_t>(state.range(1));
   for (auto _ : state) {
-    const store::FleetStore recovered = store::FleetStore::open(dir, recover);
-    benchmark::DoNotOptimize(recovered.fleet_size());
+    const store::ShardStore recovered = store::ShardStore::open(dir, recover);
+    benchmark::DoNotOptimize(recovered.last_seq());
   }
   state.SetItemsProcessed(state.iterations() * kBundles);
   fs::remove_all(dir);
@@ -147,24 +153,26 @@ void BM_StoreRecoverReport(benchmark::State& state) {
                 (with_snapshot ? "s" : "w"));
   fs::remove_all(dir);
   {
-    store::FleetStore fleet_store = store::FleetStore::open(dir);
+    store::ShardStore shard_store = store::ShardStore::open(dir);
+    const store::TenantId id = shard_store.ensure_tenant(kTenant);
     for (const trace::TraceBundle& bundle : bundles) {
-      fleet_store.append_async(bundle);
+      shard_store.append_async(id, bundle);
     }
-    fleet_store.flush();
-    if (with_snapshot) fleet_store.compact();
+    shard_store.flush();
+    if (with_snapshot) shard_store.compact();
   }
 
   core::AnalysisConfig config;
   config.num_threads = 1;
   for (auto _ : state) {
-    const store::FleetStore recovered = store::FleetStore::open(dir);
+    const store::ShardStore recovered = store::ShardStore::open(dir);
+    const store::TenantId id = *recovered.find_tenant(kTenant);
     core::FleetAnalyzer fleet(config);
-    std::vector<core::AnalyzedTrace> warm = recovered.snapshot_step1();
+    std::vector<core::AnalyzedTrace> warm = recovered.snapshot_step1(id);
     for (core::AnalyzedTrace& analyzed : warm) {
       fleet.add_analyzed(std::move(analyzed));
     }
-    for (const store::BundleRef& bundle : recovered.tail_refs()) {
+    for (const store::BundleRef& bundle : recovered.tail_refs(id)) {
       fleet.add_bundle(*bundle);
     }
     benchmark::DoNotOptimize(fleet.snapshot());

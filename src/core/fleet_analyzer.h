@@ -76,7 +76,7 @@ class FleetAnalyzer {
 
   /// Ingests an arrival whose Step 1 already ran elsewhere — e.g. the
   /// exact per-instance powers recovered from a durable-store snapshot
-  /// (store/fleet_store.h).  `analyzed` must equal
+  /// (store/shard_store.h).  `analyzed` must equal
   /// estimate_event_power(bundle) for the arriving bundle, with every
   /// event id interned in the global symbol table; the fleet state then
   /// matches add_bundle(bundle) bit for bit, at none of the power-join

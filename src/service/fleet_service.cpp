@@ -8,7 +8,6 @@
 #include "common/error.h"
 #include "core/event_power.h"
 #include "core/report_io.h"
-#include "store/fleet_store.h"
 
 namespace edx::service {
 
@@ -133,9 +132,8 @@ FleetService::FleetService(ServiceOptions options)
       shard.step1_pool.emplace(options_.step1_threads);
     }
   }
-  // Stores open (and recovery + legacy migration run) before any worker
-  // starts: every stored tenant is warm and published when the
-  // constructor returns.
+  // Stores open (and recovery runs) before any worker starts: every
+  // stored tenant is warm and published when the constructor returns.
   if (!options_.store_root.empty()) open_stores();
   for (std::unique_ptr<Shard>& shard : shards_) {
     Shard& ref = *shard;
@@ -190,12 +188,7 @@ void FleetService::close() {
 
 void FleetService::open_stores() {
   const std::string& root = options_.store_root;
-  const store::RootInfo info = store::inspect_root(root);
-  if (info.kind == store::RootKind::kSingleStore) {
-    throw Error("FleetService: store root '" + root +
-                "' holds a single-tenant FleetStore (wal-*.edx at top "
-                "level); pass a service store root instead");
-  }
+  store::inspect_root(root);  // refuses a root in an old format
   fs::create_directories(root);
   // Layout first, stores second: a crash in between leaves a valid
   // (empty-shard) partitioned root.
@@ -203,21 +196,6 @@ void FleetService::open_stores() {
   for (std::unique_ptr<Shard>& shard : shards_) {
     shard->store.reset(new store::ShardStore(store::ShardStore::open(
         store::shard_dir(root, shard->index), options_.store)));
-  }
-
-  // Legacy per-tenant roots migrate in place: re-append every tenant's
-  // fleet through the router into the shard stores, make them durable,
-  // and only then delete the old directories.  A crash mid-migration
-  // re-runs it — re-appended bundles replace rather than duplicate in
-  // the fleet, so the published report is unaffected.
-  if (!info.tenant_dirs.empty()) {
-    for (const std::string& key : info.tenant_dirs) {
-      migrate_legacy_tenant(key);
-    }
-    for (std::unique_ptr<Shard>& shard : shards_) shard->store->flush();
-    for (const std::string& key : info.tenant_dirs) {
-      fs::remove_all(fs::path(root) / key);
-    }
   }
 
   // Warm-start every stored tenant: snapshotted slots re-enter through
@@ -257,23 +235,6 @@ void FleetService::open_stores() {
       std::lock_guard apply_lock(tenant->apply_mutex);
       publish_locked(*tenant);
     }
-  }
-}
-
-void FleetService::migrate_legacy_tenant(const AppKey& app) {
-  const fs::path directory = fs::path(options_.store_root) / app;
-  const bool hot = std::find(options_.hot_apps.begin(),
-                             options_.hot_apps.end(),
-                             app) != options_.hot_apps.end();
-  store::FleetStore legacy =
-      store::FleetStore::open(directory.string(), options_.store);
-  // The fleet (last upload per user, slot order) is what the report is
-  // a function of, so it is what migrates; superseded tail duplicates
-  // are dropped, exactly as the legacy store's own compaction would.
-  for (const store::BundleRef& bundle : legacy.fleet_refs()) {
-    const std::size_t s = router_.route(app, bundle->fleet_key(), hot);
-    store::ShardStore& target = *shards_[s]->store;
-    target.append_async(target.ensure_tenant(app), *bundle);
   }
 }
 

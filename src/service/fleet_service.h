@@ -4,9 +4,9 @@
 // apps upload trace bundles continuously, and developers pull the
 // current diagnosis report whenever they look at the dashboard.  Until
 // now the repo only had the parts — a per-app incremental engine
-// (core/fleet_analyzer.h) and the durable stores (store/fleet_store.h,
-// store/shard_store.h) — hand-wired per CLI command.  This facade is
-// the redesigned surface that owns them:
+// (core/fleet_analyzer.h) and the durable store (store/shard_store.h) —
+// hand-wired per CLI command.  This facade is the redesigned surface that
+// owns them:
 //
 //   open(app)                 registers a tenant (idempotent); stored
 //                             tenants are recovered at construction,
@@ -126,10 +126,10 @@ struct ServiceOptions {
   /// When non-empty, the service root of a PARTITIONED store: one
   /// tenant-tagged ShardStore per ingest shard at <store_root>/shard-<i>,
   /// with the shard count pinned by <store_root>/layout.edx.  All
-  /// tenants are recovered at construction; a pre-partition root (one
-  /// FleetStore directory per tenant) is migrated in place on first
-  /// open.  num_shards 0 adopts an existing layout's count; a non-zero
-  /// num_shards that contradicts the layout is an error.
+  /// tenants are recovered at construction; a root in an old on-disk
+  /// format is refused with an Error, never migrated.  num_shards 0
+  /// adopts an existing layout's count; a non-zero num_shards that
+  /// contradicts the layout is an error.
   std::string store_root;
   store::StoreOptions store;
 };
@@ -262,12 +262,8 @@ class FleetService {
 
   Tenant& ensure_tenant(const AppKey& app);
   /// Construction-time store bring-up: opens (or creates) the
-  /// partitioned root, finishes any interrupted legacy migration, and
-  /// warm-starts every stored tenant.
+  /// partitioned root and warm-starts every stored tenant.
   void open_stores();
-  /// Re-appends one legacy per-tenant FleetStore's fleet into the shard
-  /// stores (routing each bundle as a fresh submit would).
-  void migrate_legacy_tenant(const AppKey& app);
   [[nodiscard]] const Tenant* find_tenant(const AppKey& app) const;
   /// Builds one stats row from a tenant's counters (callers hold no
   /// tenant lock; every field loads an atomic or the published epoch).

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -55,11 +56,26 @@ constexpr std::size_t kMaxPooledPayloads = 1024;
 constexpr std::size_t kMaxPooledPayloadCapacity = 1u << 20;
 
 std::string segment_header(std::uint64_t base) {
-  return sutil::segment_header(kSegmentMagic, base);
+  std::string header(kSegmentMagic);
+  put_varint(header, base);
+  return header;
 }
 
 std::string layout_path(const std::string& root) {
   return root + "/layout.edx";
+}
+
+/// True when `bytes` open with a complete magic of another EDX format
+/// version (a torn header that is a prefix of `magic` is not one).
+bool foreign_format(std::string_view bytes, std::string_view magic) {
+  return bytes.size() >= magic.size() && bytes.starts_with("EDX") &&
+         !bytes.starts_with(magic);
+}
+
+[[noreturn]] void refuse_old_format(const std::string& path) {
+  throw Error("store: " + path +
+              " is in an old on-disk format; re-ingest its traces into a "
+              "new store root");
 }
 
 /// One valid record out of a tenant-tagged segment scan.
@@ -78,13 +94,13 @@ struct SegmentScan {
   std::vector<ScannedRecord> records;
   /// Valid records per tenant id (resolved to keys at merge time).
   std::map<TenantId, std::size_t> tenant_counts;
+  bool foreign{false};  ///< header names another format version
 };
 
-/// Decodes a tenant-tagged segment up to the first bad byte.  Same
-/// contract as fleet_store.cpp's scan_segment: never throws, damage sets
-/// stats.torn, interning is deferred to the sequential merge.  Records
-/// with seq <= skip_upto_seq skip the bundle decode (snapshot-covered)
-/// but still surface their tenant tag and inline key.
+/// Decodes a tenant-tagged segment up to the first bad byte.  Never
+/// throws: damage sets stats.torn, and interning is deferred to the
+/// sequential merge.  Records with seq <= skip_upto_seq skip the bundle
+/// decode (snapshot-covered) but still surface their tenant tag and key.
 SegmentScan scan_segment(const std::string& path, std::uint64_t base,
                          std::uint64_t skip_upto_seq) {
   SegmentScan scan;
@@ -110,6 +126,7 @@ SegmentScan scan_segment(const std::string& path, std::uint64_t base,
   const std::string header = segment_header(base);
   if (bytes.size() < header.size() ||
       std::string_view(bytes).substr(0, header.size()) != header) {
+    scan.foreign = foreign_format(bytes, kSegmentMagic);
     torn(0, "bad segment header");
     return scan;
   }
@@ -207,7 +224,8 @@ struct SnapshotTenant {
   std::vector<std::vector<double>> powers;
 };
 
-/// Reads snapshot-<seq>.edx; returns false when invalid in any way.
+/// Reads snapshot-<seq>.edx; returns false when invalid in any way and
+/// throws when it is in another format version.
 bool load_snapshot_file(const std::string& path,
                         std::vector<SnapshotTenant>& tenants) {
   std::string bytes;
@@ -216,6 +234,7 @@ bool load_snapshot_file(const std::string& path,
   } catch (const Error&) {
     return false;
   }
+  if (foreign_format(bytes, kSnapshotMagic)) refuse_old_format(path);
   std::vector<SnapshotTenant> loaded;
   try {
     Reader file{std::string_view(bytes)};
@@ -342,52 +361,37 @@ RootInfo inspect_root(const std::string& root) {
   }
   const std::optional<PartitionedLayout> layout = read_layout(root);
 
-  const auto looks_like_store = [](const std::string& dir) {
-    std::error_code ec;
-    for (const fs::directory_entry& entry :
-         fs::directory_iterator(dir, ec)) {
-      const std::string name = entry.path().filename().string();
-      if ((name.starts_with("wal-") || name.starts_with("snapshot-")) &&
-          name.ends_with(".edx")) {
-        return true;
-      }
-      if (name == "manifest.edx") return true;
-    }
-    return false;
+  const auto is_store_file = [](const fs::directory_entry& entry) {
+    const std::string name = entry.path().filename().string();
+    return ((name.starts_with("wal-") || name.starts_with("snapshot-")) &&
+            name.ends_with(".edx")) ||
+           name == "manifest.edx";
   };
-
   std::size_t max_shard = 0;
   bool saw_shard_dir = false;
-  bool saw_top_level_store = false;
-  std::vector<std::string> tenant_dirs;
   for (const fs::directory_entry& entry : fs::directory_iterator(root)) {
     const std::string name = entry.path().filename().string();
-    if (entry.is_directory()) {
-      if (name.starts_with("shard-")) {
-        saw_shard_dir = true;
-        std::size_t index = 0;
-        try {
-          index = static_cast<std::size_t>(std::stoul(name.substr(6)));
-        } catch (...) {
-          continue;
-        }
-        max_shard = std::max(max_shard, index);
-      } else if (looks_like_store(entry.path().string())) {
-        tenant_dirs.push_back(name);
-      }
-    } else if (((name.starts_with("wal-") || name.starts_with("snapshot-")) &&
-                name.ends_with(".edx")) ||
-               name == "manifest.edx") {
-      saw_top_level_store = true;
+    if (!entry.is_directory()) {
+      if (is_store_file(entry)) refuse_old_format(root);
+      continue;
+    }
+    std::size_t index = 0;
+    const char* const end = name.data() + name.size();
+    const bool is_shard = name.starts_with("shard-") && [&] {
+      const auto [ptr, ec] = std::from_chars(name.data() + 6, end, index);
+      return ec == std::errc() && ptr == end;
+    }();
+    if (is_shard) {
+      saw_shard_dir = true;
+      max_shard = std::max(max_shard, index);
+      continue;
+    }
+    std::error_code error;
+    for (const fs::directory_entry& inner :
+         fs::directory_iterator(entry.path(), error)) {
+      if (is_store_file(inner)) refuse_old_format(entry.path().string());
     }
   }
-
-  // Tenant-looking directories are reported for every kind: a crash in
-  // the middle of a legacy-root migration leaves a layout file AND
-  // unmigrated per-tenant directories, and the service finishes the
-  // migration from this list on the next open.
-  std::sort(tenant_dirs.begin(), tenant_dirs.end());
-  info.tenant_dirs = std::move(tenant_dirs);
 
   if (layout) {
     info.kind = RootKind::kPartitioned;
@@ -397,10 +401,6 @@ RootInfo inspect_root(const std::string& root) {
     // write_layout published): the directory scan is the fallback.
     info.kind = RootKind::kPartitioned;
     info.shard_count = max_shard + 1;
-  } else if (saw_top_level_store) {
-    info.kind = RootKind::kSingleStore;
-  } else if (!info.tenant_dirs.empty()) {
-    info.kind = RootKind::kLegacyPerTenant;
   } else {
     info.kind = RootKind::kEmpty;
   }
@@ -443,8 +443,6 @@ ShardStore ShardStore::open(const std::string& directory,
   if (st.options.segment_target_bytes < 64) {
     st.options.segment_target_bytes = 64;  // floor: header + one frame
   }
-
-  sutil::remove_stale_temp_files(directory);
 
   // Ensures a tenant slot exists for `id` (gaps become unregistered
   // placeholders with an empty key; ids on disk are authoritative).
@@ -500,6 +498,11 @@ ShardStore ShardStore::open(const std::string& directory,
                               st.recovery.snapshot_seq);
     }
   }
+  // Everything above only read; refuse old formats before any repair.
+  for (std::size_t i = 0; i < scans.size(); ++i) {
+    if (scans[i].foreign) refuse_old_format(segments[i].second);
+  }
+  sutil::remove_stale_temp_files(directory);
 
   // Sequential merge in base order: fan tenant-tagged records back out to
   // per-tenant fleets.  Interning happens here, in replay order, so

@@ -1,37 +1,60 @@
-// Durable, restart-safe storage for MANY tenants sharing one WAL — the
-// per-shard partition of the fleet service's store.
+// Durable, restart-safe storage for the trace fleets of many tenants: one
+// shard of a store root.
 //
-// fleet_store.h gives one tenant a private WAL, writer thread, and
-// fdatasync; a service shard draining a batch that touches K tenants
-// therefore pays K syncs.  ShardStore is the LevelDB-style fix: all
-// tenants routed to a shard share ONE log, ONE writer thread, and ONE
-// group-commit fdatasync per drained batch — frames carry a tenant tag so
-// recovery can fan the records back out to per-tenant fleets.  Durability
-// amortizes across tenants, not within them.
+// The paper's deployment is a long-running service: phones upload trace
+// bundles opportunistically and the server re-diagnoses each app's
+// growing fleet (core/fleet_analyzer.h).  The store lets that service
+// restart, or crash, without losing a fleet.  Every tenant routed to a
+// shard shares ONE log, ONE writer thread, and ONE group-commit
+// fdatasync per drained batch; frames carry a tenant tag so recovery fans
+// the records back out to per-tenant fleets.
+//
+//   append()        encodes the bundle (store/codec.h), applies it to the
+//                   tenant's in-memory fleet, queues it for the writer,
+//                   and returns once the covering sync completed;
+//                   append_async() returns once queued and flush() makes
+//                   everything durable.  The writer packs each drained
+//                   batch into one write(2) and syncs once: kAlways after
+//                   every batch, kGroup after group_window_us, kNone never.
+//   compact_async() folds every tenant's fleet as of last_seq() into a
+//                   snapshot on a background thread, then deletes the
+//                   sealed segments it subsumes and all but the two newest
+//                   snapshots.  Appends keep flowing meanwhile.
+//   open()          loads the newest valid snapshot and replays the WAL
+//                   over it: sealed segments decode in parallel and merge
+//                   in sequence order; replay stops at the first record
+//                   whose frame is torn or fails its CRC32C.
+//
+// Re-uploads honor TraceBundle::fleet_key(): a tenant's record whose key
+// is already in its fleet replaces that slot, the same replace-not-
+// duplicate rule FleetAnalyzer applies, so feeding snapshot_step1() and
+// tail_refs() to the analyzer reproduces the never-restarted report.
 //
 // On-disk layout inside the shard directory:
 //   wal-<base>.edx      one WAL segment; header "EDXWAL03" + varint base
-//                       (the base is the first sequence the segment may
-//                       hold; sequences are per-shard, shared by all
-//                       tenants).  Records:
+//                       (the first sequence the segment may hold;
+//                       sequences are per-shard, shared by all tenants).
+//                       Records:
 //                         varint frame_len | frame | u32le crc32c(frame)
 //                         frame := u8 kind | varint tenant_id |
 //                                  varint seq | [string key] | payload
 //                         kind 1: payload = codec bundle record
 //                         kind 2: payload = varint raw_len |
 //                                 common::block_compress(bundle record)
-//                         kind 3/4: as 1/2, but a `string key` (varint
-//                                 len + bytes) precedes the payload —
-//                                 written for a tenant's first-ever
-//                                 persisted record, so the id->key map is
-//                                 rebuilt from the log itself without
-//                                 spending sequence numbers on separate
-//                                 registration records.
-//                       Active-tail salvage-and-truncate repair and the
-//                       torn-sealed-segment stop rule are exactly
-//                       fleet_store.h's.
-//   manifest.edx        advisory, same "EDXMAN01" format as fleet_store
-//                       (it names segments, not frames).
+//                         kind 3/4: as 1/2, but a `string key` precedes
+//                                 the payload: the tenant's first-ever
+//                                 record, so the id->key map rebuilds from
+//                                 the log itself.
+//                       The segment with the largest base is the active
+//                       tail; at segment_target_bytes the writer fsyncs
+//                       and seals it.  Salvage-and-truncate repair applies
+//                       only to the active tail; a torn sealed segment
+//                       stops replay but is never modified.
+//   manifest.edx        "EDXMAN01" + varint payload_len + payload + u32le
+//                       crc32c(payload); payload := varint snapshot_seq,
+//                       varint sealed_count x (varint base + varint
+//                       last_seq), varint active_base.  Advisory: the
+//                       directory scan is authoritative.
 //   snapshot-<seq>.edx  "EDXSNP2" + u32le version + varint payload_len +
 //                         payload + u32le crc32c(payload)
 //                         payload := varint seq
@@ -43,21 +66,22 @@
 //                                      varint name_count + names |
 //                                      varint slot_count + per-slot
 //                                        (varint power_count + f64s)
-//                       Every registered tenant appears — even ones with
-//                       an empty fleet — so the id->key map survives the
+//                       Every registered tenant appears, even with an
+//                       empty fleet, so the id->key map survives the
 //                       deletion of the sealed segments that carried the
-//                       kind-3/4 registrations.  Tenant ids are permanent
-//                       and never reassigned.
+//                       kind-3/4 records.  Tenant ids are never reassigned.
+//                       The power lists are Step 1's exact outputs, so
+//                       snapshot_step1() warm-starts without the power join.
 //
-// Per-tenant semantics (replace-not-duplicate by fleet_key(), the
-// snapshot's Step-1 power lists, snapshot_step1() warm restart) are
-// unchanged from fleet_store.h — just keyed by TenantId.
+// A segment or snapshot whose complete magic names another EDX format
+// version is refused: open() throws before it changes any file.  Old
+// formats are never migrated or repaired; their traces must be re-ingested.
 //
-// Thread safety matches FleetStore: append()/append_async()/flush() from
-// any threads, one background compaction; per-tenant read accessors need
-// a quiesced store.  close() (also run by the destructor) stops the
-// writer and RETHROWS any writer-thread failure, so an error raised while
-// a service drains its final batch is never swallowed.
+// Thread safety: append()/append_async()/flush() from any threads, one
+// background compaction; per-tenant read accessors need a quiesced store.
+// close() (also run by the destructor) stops the writer and RETHROWS any
+// writer-thread failure, so an error raised while a service drains its
+// final batch is never swallowed.
 #pragma once
 
 #include <atomic>
@@ -116,23 +140,19 @@ void write_layout(const std::string& root, std::size_t shard_count);
 
 /// What a store root on disk actually is.
 enum class RootKind {
-  kMissing,         ///< directory does not exist
-  kEmpty,           ///< exists, nothing store-like inside
-  kPartitioned,     ///< layout.edx and/or shard-<i>/ subdirectories
-  kSingleStore,     ///< one FleetStore directory (wal-*.edx at top level)
-  kLegacyPerTenant, ///< pre-partition layout: one FleetStore dir per tenant
+  kMissing,      ///< directory does not exist
+  kEmpty,        ///< exists, nothing store-like inside
+  kPartitioned,  ///< layout.edx and/or shard-<i>/ subdirectories
 };
 
 struct RootInfo {
   RootKind kind{RootKind::kMissing};
-  std::size_t shard_count{0};          ///< kPartitioned only
-  /// Per-tenant FleetStore directories (sorted tenant keys).  Filled for
-  /// every kind, not just kLegacyPerTenant: a partitioned root can still
-  /// hold unmigrated tenant dirs after a mid-migration crash.
-  std::vector<std::string> tenant_dirs;
+  std::size_t shard_count{0};  ///< kPartitioned only
 };
 
-/// Classifies `root` without opening any store.
+/// Classifies `root` without opening any store.  Store files at the top
+/// level, or in a subdirectory not named shard-<i>, are an old format:
+/// throws Error naming the path and asking for a re-ingest.
 RootInfo inspect_root(const std::string& root);
 
 // ---------------------------------------------------------------------
@@ -174,8 +194,10 @@ class ShardStore {
   /// All tenants, ascending id.
   [[nodiscard]] std::vector<TenantInfo> tenants() const;
 
-  // Per-tenant reads (quiesced store; zero-copy, same contracts as the
-  // FleetStore accessors of the same names).
+  // Per-tenant reads (quiesced store; zero-copy).  fleet_refs(): each
+  // user's latest bundle in first-arrival slot order.  snapshot_refs():
+  // the fleet as of the loaded snapshot, which snapshot_step1() describes.
+  // tail_refs(): bundles appended after that snapshot, in arrival order.
   [[nodiscard]] const std::vector<BundleRef>& fleet_refs(TenantId id) const;
   [[nodiscard]] const std::vector<BundleRef>& tail_refs(TenantId id) const;
   [[nodiscard]] const std::vector<BundleRef>& snapshot_refs(

@@ -1,6 +1,5 @@
-// Types shared by the durable stores (fleet_store.h, shard_store.h):
-// the bundle handle, the fsync policy knobs, and the recovery report
-// structures both stores fill in from the same WAL scan machinery.
+// The durable store's value types (store/shard_store.h): the bundle
+// handle, the fsync policy knobs, and the recovery report open() fills in.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +47,8 @@ struct SegmentStats {
   bool sealed{false};        ///< not the active tail
   bool torn{false};          ///< scan stopped before the end
   std::string reason;        ///< why it stopped ("" when clean)
-  /// Tenant-tagged stores only (shard_store.h): valid records per tenant
-  /// in this segment, (tenant key, count), tenant-id order.  A record
-  /// whose tenant key could not be resolved is labeled "tenant#<id>".
+  /// Valid records per tenant in this segment, (tenant key, count),
+  /// tenant-id order.  An unresolved tenant key is labeled "tenant#<id>".
   std::vector<std::pair<std::string, std::size_t>> tenant_records;
 };
 
@@ -73,7 +71,7 @@ struct RecoveryStats {
   std::uint64_t decode_micros{0};      ///< wall time of the segment decode+merge
   bool manifest_ok{true};              ///< manifest matched the directory scan
   std::string manifest_note;           ///< why not ("" when ok)
-  /// Tenant-tagged stores only: tenants known after recovery.
+  /// Tenants known after recovery.
   std::size_t tenants_recovered{0};
   std::vector<SegmentStats> segments;
 };

@@ -29,12 +29,6 @@ std::string snapshot_path(const std::string& directory, std::uint64_t seq) {
   return directory + "/snapshot-" + std::to_string(seq) + ".edx";
 }
 
-std::string segment_header(std::string_view magic, std::uint64_t base) {
-  std::string header(magic);
-  put_varint(header, base);
-  return header;
-}
-
 std::vector<std::pair<std::uint64_t, std::string>> list_segments(
     const std::string& directory) {
   std::vector<std::pair<std::uint64_t, std::string>> found;
@@ -94,10 +88,14 @@ void publish_file(const std::string& final_path, std::string_view bytes) {
     write_all(fd, bytes, temp_path);
   } catch (...) {
     ::close(fd);
+    ::unlink(temp_path.c_str());
     throw;
   }
-  ::fsync(fd);
-  ::close(fd);
+  const bool synced = ::fsync(fd) == 0;
+  if (::close(fd) != 0 || !synced) {
+    ::unlink(temp_path.c_str());
+    throw Error("store: cannot sync " + temp_path);
+  }
   fs::rename(temp_path, final_path);
 }
 

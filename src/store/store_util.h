@@ -1,9 +1,7 @@
-// File-level plumbing shared by the WAL-backed stores (fleet_store.cpp,
-// shard_store.cpp): path naming, directory scans, crash-safe small-file
-// publication, the hand-rolled salvage varint, and the advisory manifest
-// codec.  Everything here is format-agnostic with respect to the *frame*
-// layout — the per-record framing (and its magic) stays with each store;
-// only the pieces that are byte-identical across layouts live here.
+// File-level plumbing of the WAL-backed store (shard_store.cpp): path
+// naming, directory scans, crash-safe small-file publication, the
+// hand-rolled salvage varint, and the advisory manifest codec.  The
+// per-record framing (and its magic) stays with the store.
 #pragma once
 
 #include <cstdint>
@@ -15,16 +13,13 @@
 
 namespace edx::store::sutil {
 
-/// Shared manifest magic: the manifest records *which* segments exist,
-/// not how their frames are laid out, so both layouts use one format.
+/// The manifest records *which* segments exist, not how their frames are
+/// laid out.
 inline constexpr std::string_view kManifestMagic = "EDXMAN01";
 
 std::string segment_path(const std::string& directory, std::uint64_t base);
 std::string manifest_path(const std::string& directory);
 std::string snapshot_path(const std::string& directory, std::uint64_t seq);
-
-/// Segment file header: `magic` + varint base.
-std::string segment_header(std::string_view magic, std::uint64_t base);
 
 /// wal-<base>.edx files in `directory`, ascending base order.
 std::vector<std::pair<std::uint64_t, std::string>> list_segments(
@@ -41,6 +36,8 @@ std::string read_file_bytes(const std::string& path);
 void write_all(int fd, std::string_view bytes, const std::string& what);
 
 /// Crash-safe small-file publication: temp file, fsync, atomic rename.
+/// A failed write, fsync or close unlinks the temp file and throws Error
+/// naming it; the rename happens only after a successful sync.
 void publish_file(const std::string& final_path, std::string_view bytes);
 
 /// Deletes stray .tmp files a crash between temp-write and rename left

@@ -29,7 +29,6 @@
 #include "power/calibration.h"
 #include "service/fleet_service.h"
 #include "service/shard_router.h"
-#include "store/fleet_store.h"
 #include "store/shard_store.h"
 #include "workload/catalog.h"
 #include "workload/experiment.h"
@@ -371,30 +370,46 @@ store::FsyncPolicy parse_fsync_policy(const std::string& text,
       text + "')");
 }
 
-int analyze_store(const std::string& store_dir, const AnalyzeOptions& options,
+/// The shard a non-hot tenant's uploads all land on, as a serving
+/// FleetService routes them.
+std::size_t home_shard(const std::string& tenant, std::size_t shard_count) {
+  return service::ShardRouter(shard_count, 1)
+      .route(tenant, /*fleet_key=*/0, false);
+}
+
+int analyze_store(const std::string& root, const AnalyzeOptions& options,
                   std::ostream& out) {
+  const store::RootInfo info = store::inspect_root(root);
+  const std::string home =
+      info.kind == store::RootKind::kPartitioned
+          ? store::shard_dir(root, home_shard(kDefaultTenant, info.shard_count))
+          : std::string();
+  if (home.empty() || !fs::is_directory(home)) {
+    throw AnalysisError("store at " + root + " holds no bundles");
+  }
   store::StoreOptions store_options;
   store_options.recovery_threads = options.num_threads;
-  store::FleetStore recovered =
-      store::FleetStore::open(store_dir, store_options);
-  if (recovered.fleet_size() == 0) {
-    throw AnalysisError("store at " + store_dir + " holds no bundles");
+  const store::ShardStore recovered =
+      store::ShardStore::open(home, store_options);
+  const std::optional<store::TenantId> id =
+      recovered.find_tenant(kDefaultTenant);
+  if (!id.has_value() || recovered.fleet_refs(*id).empty()) {
+    throw AnalysisError("store at " + root + " holds no bundles for tenant '" +
+                        std::string(kDefaultTenant) + "'");
   }
   // Warm restart over the zero-copy accessors: the snapshotted slots
   // re-enter the analyzer through their recovered Step-1 state (no power
   // join), the WAL tail through the normal arrival path — the final
   // report is byte-identical to a never-restarted incremental run over
   // the same uploads, and (by the FleetAnalyzer equivalence contract) to
-  // a batch run over fleet_refs().  That contract is why the former
-  // non-incremental branch, which materialized a full fleet() copy just
-  // to re-run Step 1 on it, is gone: --incremental and the default now
+  // a batch run over fleet_refs(), so --incremental and the default
   // share this one path and byte-identical output.
   const core::AnalysisConfig config = analysis_config(options);
   core::FleetAnalyzer fleet(config);
-  for (core::AnalyzedTrace& analyzed : recovered.snapshot_step1()) {
+  for (core::AnalyzedTrace& analyzed : recovered.snapshot_step1(*id)) {
     fleet.add_analyzed(std::move(analyzed));
   }
-  for (const store::BundleRef& bundle : recovered.tail_refs()) {
+  for (const store::BundleRef& bundle : recovered.tail_refs(*id)) {
     fleet.add_bundle(*bundle);
   }
   render_fleet_report(fleet, config, options, out);
@@ -455,35 +470,38 @@ std::size_t each_ingest_bundle(const IngestOptions& options, Sink&& sink) {
   return appended;
 }
 
-/// `ingest --tenant`: append into a partitioned service root, routing to
-/// the tenant's home shard exactly as a serving FleetService would.
-int ingest_partitioned(const IngestOptions& options,
-                       const store::StoreOptions& store_options,
-                       std::ostream& out) {
+}  // namespace
+
+int cmd_ingest(const IngestOptions& options, std::ostream& out) {
+  store::StoreOptions store_options;
+  store_options.fsync_policy = parse_fsync_policy(
+      options.fsync_policy, store_options.group_window_us);
+  if (options.segment_bytes != 0) {
+    store_options.segment_target_bytes = options.segment_bytes;
+  }
+  store_options.compress = options.compress;
   const std::string& root = options.store_dir;
-  const std::string& tenant = *options.tenant;
+  const std::string& tenant = options.tenant;
   require(!tenant.empty(), "ingest: --tenant needs a non-empty key");
+  const store::RootInfo info = store::inspect_root(root);
   std::size_t shard_count = options.shards;
-  if (const auto layout = store::read_layout(root)) {
-    require(shard_count == 0 || shard_count == layout->shard_count,
+  if (info.kind == store::RootKind::kPartitioned) {
+    require(shard_count == 0 || shard_count == info.shard_count,
             "ingest: store root '" + root + "' is partitioned for " +
-                std::to_string(layout->shard_count) +
+                std::to_string(info.shard_count) +
                 " shard(s); omit --shards or pass the stored count");
-    shard_count = layout->shard_count;
-  } else {
-    const store::RootInfo info = store::inspect_root(root);
-    require(info.kind == store::RootKind::kMissing ||
-                info.kind == store::RootKind::kEmpty,
-            "ingest: --tenant needs a fresh or partitioned store root, "
-            "but '" + root + "' already holds another store layout");
-    if (shard_count == 0) shard_count = 1;
+    shard_count = info.shard_count;
+  }
+  if (shard_count == 0) shard_count = 1;
+  if (!store::read_layout(root)) {
     fs::create_directories(root);
     store::write_layout(root, shard_count);
   }
   // A non-hot tenant's bundles all land on its home shard, so only that
-  // one shard store is opened and written.
-  const std::size_t home = service::ShardRouter(shard_count, 1)
-                               .route(tenant, /*fleet_key=*/0, false);
+  // one shard store is opened and written.  Queue asynchronously and make
+  // the whole batch durable with one flush(): the group-commit writer
+  // packs everything into large writes.
+  const std::size_t home = home_shard(tenant, shard_count);
   store::ShardStore shard_store =
       store::ShardStore::open(store::shard_dir(root, home), store_options);
   const store::TenantId id = shard_store.ensure_tenant(tenant);
@@ -500,56 +518,19 @@ int ingest_partitioned(const IngestOptions& options,
       << " shard(s))\n";
   if (options.compact) {
     shard_store.compact();
-    out << "compacted shard-" << home << " into snapshot-"
-        << shard_store.snapshot_seq() << ".edx\n";
-  }
-  return 0;
-}
-
-}  // namespace
-
-int cmd_ingest(const IngestOptions& options, std::ostream& out) {
-  store::StoreOptions store_options;
-  store_options.fsync_policy = parse_fsync_policy(
-      options.fsync_policy, store_options.group_window_us);
-  if (options.segment_bytes != 0) {
-    store_options.segment_target_bytes = options.segment_bytes;
-  }
-  store_options.compress = options.compress;
-  if (options.tenant.has_value()) {
-    return ingest_partitioned(options, store_options, out);
-  }
-  require(options.shards == 0, "ingest: --shards needs --tenant KEY");
-  store::FleetStore fleet_store =
-      store::FleetStore::open(options.store_dir, store_options);
-  // Queue asynchronously and make the whole batch durable with one
-  // flush(): the group-commit writer packs everything into large writes
-  // instead of paying one sync wait per bundle.
-  const std::size_t appended = each_ingest_bundle(
-      options,
-      [&](const trace::TraceBundle& bundle) {
-        fleet_store.append_async(bundle);
-      });
-  fleet_store.flush();
-  out << "ingested " << appended << " bundles into " << options.store_dir
-      << " (last seq " << fleet_store.last_seq() << ", fleet "
-      << fleet_store.fleet_size() << " users)\n";
-  if (options.compact) {
-    fleet_store.compact_async();
-    fleet_store.wait_for_compaction();
-    out << "compacted into snapshot-" << fleet_store.snapshot_seq()
-        << ".edx (" << fleet_store.fleet_size() << " bundles)\n";
+    out << "compacted into snapshot-" << shard_store.snapshot_seq()
+        << ".edx (shard-" << home << ")\n";
   }
   return 0;
 }
 
 namespace {
 
-/// Shared segment-table line ("wal-...edx: seq A..B, N records, ...");
-/// the per-tenant counts a tenant-tagged segment carries are appended.
+/// One segment-table line ("wal-...edx: seq A..B, N records, ...") with
+/// the segment's per-tenant record counts appended.
 void print_segment_line(const store::SegmentStats& segment,
-                        const std::string& indent, std::ostream& out) {
-  out << indent << segment.file << ": ";
+                        std::ostream& out) {
+  out << "    " << segment.file << ": ";
   if (segment.records == 0) {
     out << "empty";
   } else {
@@ -568,10 +549,14 @@ void print_segment_line(const store::SegmentStats& segment,
   out << "\n";
 }
 
-/// store-info for a partitioned service root: one block per shard with
-/// its tenant table and tenant-tagged segment table.
-int store_info_partitioned(const std::string& root,
-                           const store::RootInfo& info, std::ostream& out) {
+}  // namespace
+
+int cmd_store_info(const std::string& root, std::ostream& out) {
+  require(fs::is_directory(root),
+          "store-info: no store directory at " + root);
+  const store::RootInfo info = store::inspect_root(root);
+  require(info.kind == store::RootKind::kPartitioned,
+          "store-info: " + root + " holds no store");
   out << "store root: " << root << " (partitioned, " << info.shard_count
       << " shard(s))\n";
   if (!store::read_layout(root).has_value()) {
@@ -580,14 +565,14 @@ int store_info_partitioned(const std::string& root,
   }
   for (std::size_t s = 0; s < info.shard_count; ++s) {
     const std::string dir = store::shard_dir(root, s);
-    out << "shard-" << s << ":";
     if (!fs::is_directory(dir)) {
-      out << " no directory yet (nothing routed here)\n";
+      out << "shard-" << s << ": no directory yet (nothing routed here)\n";
       continue;
     }
     const store::ShardStore shard_store = store::ShardStore::open(dir);
     const store::RecoveryStats& stats = shard_store.recovery();
-    out << " " << shard_store.tenant_count() << " tenant(s), last seq "
+    out << "shard-" << s << ": " << shard_store.tenant_count()
+        << " tenant(s), last seq "
         << shard_store.last_seq() << ", snapshot seq "
         << shard_store.snapshot_seq() << "\n";
     for (const store::TenantInfo& tenant : shard_store.tenants()) {
@@ -595,109 +580,46 @@ int store_info_partitioned(const std::string& root,
           << tenant.fleet_size << " users, tail " << tenant.tail_size
           << ", last seq " << tenant.last_seq << "\n";
     }
-    for (const store::SegmentStats& segment : stats.segments) {
-      print_segment_line(segment, "  ", out);
+    if (stats.snapshot_seq != 0) {
+      out << "  snapshot: seq " << stats.snapshot_seq << " covering "
+          << stats.snapshot_bundle_count << " bundles";
+    } else {
+      out << "  snapshot: none";
     }
+    out << " (" << stats.snapshots_found << " on disk, "
+        << stats.snapshots_skipped << " skipped as corrupt)\n";
+    out << "  wal: " << stats.wal_records_replayed << " records replayed, "
+        << stats.wal_records_obsolete << " obsolete, "
+        << stats.wal_bytes_salvaged << " bytes salvaged\n";
+    out << "  segments: " << stats.segments_scanned << " scanned, "
+        << stats.segments_salvaged << " salvaged, decoded in "
+        << stats.decode_micros << " us\n";
+    for (const store::SegmentStats& segment : stats.segments) {
+      print_segment_line(segment, out);
+    }
+    out << "  manifest: " << (stats.manifest_ok ? "ok" : stats.manifest_note)
+        << "\n";
     if (stats.wal_tail_torn) {
       out << "  tail: torn — " << stats.wal_tail_reason << " ("
-          << stats.wal_bytes_dropped << " bytes dropped, repaired on open)\n";
+          << stats.wal_bytes_dropped << " bytes dropped";
+      if (stats.tail_bytes_truncated > 0) {
+        out << ", " << stats.tail_bytes_truncated << " truncated";
+      }
+      out << ", repaired on open)\n";
     } else {
       out << "  tail: clean\n";
     }
+    const std::uint64_t behind =
+        shard_store.last_seq() - shard_store.snapshot_seq();
+    out << "  compaction: "
+        << (shard_store.compaction_running()
+                ? "running"
+                : (behind == 0 ? "idle (snapshot is current)"
+                               : "idle (" + std::to_string(behind) +
+                                     " records since snapshot)"))
+        << "\n";
   }
-  if (!info.tenant_dirs.empty()) {
-    out << "verdict: partitioned, but " << info.tenant_dirs.size()
-        << " unmigrated legacy tenant dir(s) remain";
-    for (const std::string& key : info.tenant_dirs) out << " " << key;
-    out << " — serve --store-root finishes the migration in place\n";
-  } else {
-    out << "verdict: partitioned layout, ready to serve\n";
-  }
-  return 0;
-}
-
-/// store-info for a pre-partition root (one FleetStore per tenant):
-/// per-tenant summaries plus the migration verdict.
-int store_info_legacy(const std::string& root, const store::RootInfo& info,
-                      std::ostream& out) {
-  out << "store root: " << root << " (legacy per-tenant layout, "
-      << info.tenant_dirs.size() << " tenant store(s))\n";
-  for (const std::string& key : info.tenant_dirs) {
-    const store::FleetStore fleet_store =
-        store::FleetStore::open((fs::path(root) / key).string());
-    out << "  " << key << ": fleet " << fleet_store.fleet_size()
-        << " users, last seq " << fleet_store.last_seq()
-        << ", snapshot seq " << fleet_store.snapshot_seq() << "\n";
-  }
-  out << "verdict: legacy per-tenant layout — serve --store-root " << root
-      << " migrates it to the partitioned (per-shard) layout in place\n";
-  return 0;
-}
-
-}  // namespace
-
-int cmd_store_info(const std::string& store_dir, std::ostream& out) {
-  require(fs::is_directory(store_dir),
-          "store-info: no store directory at " + store_dir);
-  const store::RootInfo root_info = store::inspect_root(store_dir);
-  if (root_info.kind == store::RootKind::kPartitioned) {
-    return store_info_partitioned(store_dir, root_info, out);
-  }
-  if (root_info.kind == store::RootKind::kLegacyPerTenant) {
-    return store_info_legacy(store_dir, root_info, out);
-  }
-  const store::FleetStore fleet_store = store::FleetStore::open(store_dir);
-  const store::RecoveryStats& stats = fleet_store.recovery();
-  out << "store: " << store_dir << "\n";
-  out << "  fleet: " << fleet_store.fleet_size() << " users (last seq "
-      << fleet_store.last_seq() << ")\n";
-  if (stats.snapshot_seq != 0) {
-    out << "  snapshot: seq " << stats.snapshot_seq << " covering "
-        << stats.snapshot_bundle_count << " bundles";
-  } else {
-    out << "  snapshot: none";
-  }
-  out << " (" << stats.snapshots_found << " on disk, "
-      << stats.snapshots_skipped << " skipped as corrupt)\n";
-  out << "  wal: " << stats.wal_records_replayed << " records replayed, "
-      << stats.wal_records_obsolete << " obsolete, "
-      << stats.wal_bytes_salvaged << " bytes salvaged\n";
-  out << "  segments: " << stats.segments_scanned << " scanned, "
-      << stats.segments_salvaged << " salvaged, decoded in "
-      << stats.decode_micros << " us\n";
-  for (const store::SegmentStats& segment : stats.segments) {
-    out << "    " << segment.file << ": ";
-    if (segment.records == 0) {
-      out << "empty";
-    } else {
-      out << "seq " << segment.base_seq << ".." << segment.last_seq << ", "
-          << segment.records << " records";
-    }
-    out << ", " << segment.bytes << " bytes, "
-        << (segment.sealed ? "sealed" : "active");
-    if (segment.torn) out << ", torn: " << segment.reason;
-    out << "\n";
-  }
-  out << "  manifest: " << (stats.manifest_ok ? "ok" : stats.manifest_note)
-      << "\n";
-  if (stats.wal_tail_torn) {
-    out << "  tail: torn — " << stats.wal_tail_reason << " ("
-        << stats.wal_bytes_dropped << " bytes dropped";
-    if (stats.tail_bytes_truncated > 0) {
-      out << ", " << stats.tail_bytes_truncated << " truncated";
-    }
-    out << ", repaired on open)\n";
-  } else {
-    out << "  tail: clean\n";
-  }
-  const std::uint64_t behind = fleet_store.last_seq() - fleet_store.snapshot_seq();
-  out << "  compaction: "
-      << (fleet_store.compaction_running()
-              ? "running"
-              : (behind == 0 ? "idle (snapshot is current)"
-                             : "idle (" + std::to_string(behind) +
-                                   " records since snapshot)"))
-      << "\n";
+  out << "verdict: partitioned layout, ready to serve\n";
   return 0;
 }
 
@@ -1089,7 +1011,7 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
            "[--threads N] [--incremental] [--report-every K] | "
            "ingest --store DIR [<bundle-or-dir> ...] "
            "[--app ID --users N --seed S] [--compact] "
-           "[--tenant KEY [--shards N]] "
+           "[--tenant KEY] [--shards N] "
            "[--fsync-policy always|group|group:<us>|none] "
            "[--segment-bytes N] [--compress] | "
            "store-info --store DIR | "

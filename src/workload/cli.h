@@ -9,7 +9,7 @@
 //                    [--incremental] [--report-every K]
 //   energydx ingest --store DIR [<bundle.txt-or-dir> ...]
 //                   [--app ID --users N --seed S] [--compact]
-//                   [--tenant KEY [--shards N]]
+//                   [--tenant KEY] [--shards N]
 //                   [--fsync-policy always|group|group:<us>|none]
 //                   [--segment-bytes N] [--compress]
 //   energydx store-info --store DIR
@@ -50,9 +50,7 @@
 // <root>/shard-<i> (shard count pinned by <root>/layout.edx), so a
 // multi-tenant ingest batch costs one fsync per shard, not one per
 // tenant; --fsync-policy/--segment-bytes/--compress tune those stores
-// exactly as ingest's flags tune a single store.  A legacy per-tenant
-// root (one FleetStore directory per app key) is migrated in place the
-// first time serve opens it.  `bench-serve` is the load harness: same
+// exactly as they tune ingest's.  `bench-serve` is the load harness: same
 // traffic plus --readers threads polling snapshots while writers run,
 // reporting ingest throughput and snapshot-staleness percentiles
 // (arrivals submitted but not yet covered by the published epoch).
@@ -71,29 +69,28 @@
 // the machine-readable results JSON perf_smoke.py gates.  Exits 1 when
 // any SLO fails.
 //
-// The durable store (store/fleet_store.h, store/shard_store.h):
-// `ingest` appends bundles into a segmented-WAL store directory — from
-// bundle files / trace directories given as operands, and/or a
+// The durable store (store/shard_store.h) has one on-disk format: a
+// partitioned root, layout.edx (the pinned shard count) plus one
+// tenant-tagged shard store per shard-<i>/ subdirectory — the same root
+// `serve --store-root` recovers.  `ingest` appends bundles into it as
+// tenant --tenant (default "default"), on that tenant's home shard —
+// from bundle files / trace directories given as operands, and/or a
 // simulated population (--app) — under a chosen group-commit fsync
 // policy, optionally with per-frame compression, optionally compacting
 // afterwards (the compaction runs on the store's background thread;
-// ingest waits for it before reporting).  With --tenant KEY the target
-// is a partitioned service root instead: bundles land tenant-tagged in
-// KEY's shard store (creating the root with --shards N when missing),
-// ready for `serve --store-root` to recover.
-// `analyze --store DIR` recovers the fleet (newest valid snapshot + WAL
-// segments, --threads segment decoders, tolerating a torn tail) and
-// produces a report byte-identical to a never-restarted run over the
-// same uploads; with --incremental the snapshotted bundles warm-start
-// core::FleetAnalyzer from the stored Step-1 state.  `store-info` first
-// classifies what the directory IS — a single FleetStore, a partitioned
-// service root, or a legacy per-tenant root — and prints the matching
-// view: record counts, snapshot seq, per-segment recovery diagnostics
-// and manifest status for a single store; a per-shard segment table
-// with per-tenant record counts for a partitioned root; a clear
-// "legacy layout" verdict (with per-tenant summaries) for the
-// pre-partition layout.  A torn-but-salvaged tail is a diagnostic, not
-// an error.
+// ingest waits for it before reporting).  --shards N sets the shard
+// count of a new root.  `analyze --store DIR` recovers tenant "default"
+// (newest valid snapshot + WAL segments, --threads segment decoders,
+// tolerating a torn tail): the snapshotted bundles warm-start
+// core::FleetAnalyzer from the stored Step-1 state, and the report is
+// byte-identical to a never-restarted run over the same uploads.
+// `store-info` prints one block per shard: its tenants, snapshot
+// coverage, WAL replay counts, per-segment recovery diagnostics with
+// per-tenant record counts, manifest status, tail state, and compaction
+// state.  A torn-but-salvaged tail is a diagnostic, not an error.  A
+// root holding store files outside shard-<i>/ directories, or files in
+// an older format version, is refused with an error that asks for a
+// re-ingest; old formats are never migrated or repaired.
 //
 // Exit codes — run() maps exceptions to error classes via exit_code_for():
 //   0  success
@@ -163,31 +160,34 @@ struct AnalyzeOptions {
   /// With `incremental`: also emit an intermediate fleet report after
   /// every K arrivals (0 = final report only).
   std::size_t report_every{0};
-  /// Analyze a durable store directory instead of a directory of
-  /// bundle_*.txt files.  Mutually exclusive with a trace-dir operand and
-  /// with report_every (the store replays the deduplicated fleet, not the
-  /// original arrival sequence).
+  /// Analyze tenant kDefaultTenant of a durable store root instead of a
+  /// directory of bundle_*.txt files.  Mutually exclusive with a
+  /// trace-dir operand and with report_every (the store replays the
+  /// deduplicated fleet, not the original arrival sequence).
   std::optional<std::string> store_dir;
 };
 
+/// The tenant `ingest --store` appends as without --tenant, and the one
+/// `analyze --store` reads.
+inline constexpr char kDefaultTenant[] = "default";
+
 /// Analyzes every bundle_*.txt in `trace_dir` (sorted filename order ==
 /// arrival order), or — when `options.store_dir` is set and `trace_dir`
-/// empty — the fleet recovered from that durable store.
+/// empty — the fleet recovered from that durable store root.
 int cmd_analyze(const std::string& trace_dir, const AnalyzeOptions& options,
                 std::ostream& out);
 
 /// How `cmd_ingest` fills a durable store.
 struct IngestOptions {
-  /// A single-tenant FleetStore directory — or, with `tenant` set, a
-  /// partitioned service root (layout.edx + shard-<i>/ subdirectories).
+  /// A partitioned store root (layout.edx + shard-<i>/ subdirectories),
+  /// created when missing.
   std::string store_dir;
-  /// Ingest into a partitioned root as this tenant: bundles are routed
-  /// to the tenant's shard exactly as a serving FleetService would, so
-  /// `serve --store-root` recovers them.
-  std::optional<std::string> tenant;
-  /// Shard count when `tenant` creates a fresh partitioned root (0 = 1
-  /// shard).  An existing layout.edx pins the count; contradicting it
-  /// is an error.
+  /// Ingest as this tenant: bundles are routed to the tenant's shard
+  /// exactly as a serving FleetService would, so `serve --store-root`
+  /// recovers them.
+  std::string tenant{kDefaultTenant};
+  /// Shard count when ingest creates a fresh root (0 = 1 shard).  An
+  /// existing layout.edx pins the count; contradicting it is an error.
   std::size_t shards{0};
   /// Bundle files (trace/recorder.h text format) and/or directories of
   /// bundle_*.txt, appended in the given order (directories in sorted
@@ -213,8 +213,8 @@ struct IngestOptions {
 /// missing), honoring replace-not-duplicate fleet keys.
 int cmd_ingest(const IngestOptions& options, std::ostream& out);
 
-/// Prints record counts, snapshot seq, and salvage diagnostics for the
-/// store at `store_dir`.
+/// Prints, for each shard of the store root at `store_dir`, its tenants,
+/// record counts, snapshot seq, and salvage diagnostics.
 int cmd_store_info(const std::string& store_dir, std::ostream& out);
 
 /// Writes a component-sweep calibration workload for one built-in device
@@ -254,8 +254,8 @@ struct ServeOptions {
   bool as_json{false};
   /// Non-empty: a durable partitioned store — one tenant-tagged
   /// ShardStore per ingest shard under <store_root>/shard-<i>, one
-  /// group-commit fsync per shard per ingest batch.  A legacy
-  /// per-tenant root migrates in place on open.
+  /// group-commit fsync per shard per ingest batch.  A root in an old
+  /// on-disk format is refused.
   std::string store_root;
   /// WAL durability for the shard stores: "always", "group",
   /// "group:<microseconds>", "none".

@@ -25,7 +25,6 @@
 #include "common/error.h"
 #include "core/pipeline.h"
 #include "core/report_io.h"
-#include "store/fleet_store.h"
 #include "store/shard_store.h"
 
 namespace edx::service {
@@ -517,52 +516,79 @@ TEST(FleetServiceTest, TornMixedTenantWalTailRecoversAppliedPrefix) {
                             /*self_estimate=*/false));
 }
 
-TEST(FleetServiceTest, LegacyPerTenantRootMigratesInPlace) {
+// Headers of the retired single-tenant formats.  Their contents never
+// matter: a complete magic that names another format version is enough
+// to be refused.
+const std::string kOldSegment = std::string("EDXWAL02") + '\x01';
+const std::string kOldSnapshot = std::string("EDXSNAP1") + '\x01' + '\0';
+
+/// Constructing a service over options.store_root must throw the one-line
+/// re-ingest Error naming `path`, and leave every file that existed
+/// before byte-identical.
+void expect_service_refuses(const ServiceOptions& options,
+                            const std::string& path) {
+  std::map<std::string, std::string> before;
+  for (const auto& entry :
+       fs::recursive_directory_iterator(options.store_root)) {
+    if (entry.is_regular_file()) {
+      before[entry.path().string()] = read_file(entry.path().string());
+    }
+  }
+  try {
+    FleetService service(options);
+    ADD_FAILURE() << "old format under " << options.store_root
+                  << " was not refused";
+  } catch (const edx::Error& refusal) {
+    const std::string message = refusal.what();
+    EXPECT_NE(message.find(path), std::string::npos) << message;
+    EXPECT_NE(message.find("re-ingest"), std::string::npos) << message;
+  }
+  for (const auto& [file, bytes] : before) {
+    EXPECT_EQ(read_file(file), bytes) << file << " was modified";
+  }
+}
+
+TEST(FleetServiceTest, LegacyPerTenantRootIsRefusedUntouched) {
+  // The retired pre-partition layout: one store directory per tenant.
+  // It is refused with a re-ingest error, never migrated.
   const std::string root = ::testing::TempDir() + "/edx_service_legacy";
   fs::remove_all(root);
-
-  // Build the pre-partition layout directly: one FleetStore per tenant,
-  // including a re-upload so replace-not-duplicate must be preserved.
-  std::vector<trace::TraceBundle> mail, maps;
-  for (UserId user = 0; user < 4; ++user) {
-    mail.push_back(make_trace(user, user % 3 == 0));
+  for (const std::string tenant : {"mail", "maps"}) {
+    fs::create_directories(root + "/" + tenant);
+    write_file(root + "/" + tenant + "/wal-1.edx", kOldSegment);
   }
-  mail.push_back(make_trace(1, /*with_abd=*/true, /*variant=*/5));
-  for (UserId user = 0; user < 2; ++user) {
-    maps.push_back(make_trace(user, user == 1, /*variant=*/2));
-  }
-  {
-    store::FleetStore store = store::FleetStore::open(root + "/mail");
-    for (const trace::TraceBundle& bundle : mail) store.append(bundle);
-  }
-  {
-    store::FleetStore store = store::FleetStore::open(root + "/maps");
-    for (const trace::TraceBundle& bundle : maps) store.append(bundle);
-  }
-  ASSERT_EQ(store::inspect_root(root).kind,
-            store::RootKind::kLegacyPerTenant);
-
+  write_file(root + "/maps/snapshot-1.edx", kOldSnapshot);
   ServiceOptions options = make_options(2);
   options.store_root = root;
+  expect_service_refuses(options, root + "/ma");  // mail/ or maps/
+  EXPECT_FALSE(fs::exists(root + "/layout.edx"));
+}
+
+TEST(FleetServiceTest, OldFormatShardIsRefusedUntouched) {
+  // An old single-tenant store sitting where a shard store belongs: the
+  // header scan must refuse it, not truncate it to a fresh header.
+  const std::string root = ::testing::TempDir() + "/edx_service_oldshard";
+  fs::remove_all(root);
+  fs::create_directories(store::shard_dir(root, 0));
+  write_file(store::shard_dir(root, 0) + "/wal-1.edx", kOldSegment);
+  ServiceOptions options = make_options(1);
+  options.store_root = root;
+  expect_service_refuses(options, store::shard_dir(root, 0) + "/wal-1.edx");
+
+  // Separately: a current root whose shard holds an old-format snapshot.
+  const std::string snap_root =
+      ::testing::TempDir() + "/edx_service_oldsnap";
+  fs::remove_all(snap_root);
+  options.store_root = snap_root;
   {
     FleetService service(options);
-    // The migration finished before the constructor returned: the
-    // legacy dirs are gone and every fleet was published.
-    const store::RootInfo info = store::inspect_root(root);
-    EXPECT_EQ(info.kind, store::RootKind::kPartitioned);
-    EXPECT_EQ(info.shard_count, 2u);
-    EXPECT_TRUE(info.tenant_dirs.empty());
-    EXPECT_EQ(render_image(*service.snapshot("mail")->image),
-              batch_reference(mail, make_config(), /*self_estimate=*/false));
-    EXPECT_EQ(render_image(*service.snapshot("maps")->image),
-              batch_reference(maps, make_config(), /*self_estimate=*/false));
+    service.submit("app", make_trace(0, true));
+    service.drain();
   }
-  // Reopening the migrated root is byte-identical again (idempotent).
-  FleetService reopened(options);
-  EXPECT_EQ(render_image(*reopened.snapshot("mail")->image),
-            batch_reference(mail, make_config(), /*self_estimate=*/false));
-  EXPECT_EQ(render_image(*reopened.snapshot("maps")->image),
-            batch_reference(maps, make_config(), /*self_estimate=*/false));
+  const std::string snapshot =
+      store::shard_dir(snap_root, 0) + "/snapshot-1.edx";
+  write_file(snapshot, kOldSnapshot);
+  expect_service_refuses(options, snapshot);
 }
 
 TEST(FleetServiceTest, PartitionedRootRejectsMismatchedShardCount) {
@@ -583,15 +609,17 @@ TEST(FleetServiceTest, PartitionedRootRejectsMismatchedShardCount) {
 }
 
 TEST(FleetServiceTest, SingleStoreRootIsRejectedWithClearError) {
+  // Store files at the top of the root are the retired single-store
+  // layout; the service refuses it untouched.
   const std::string root = ::testing::TempDir() + "/edx_service_singleroot";
   fs::remove_all(root);
-  {
-    store::FleetStore store = store::FleetStore::open(root);
-    store.append(make_trace(0, true));
-  }
+  fs::create_directories(root);
+  write_file(root + "/wal-1.edx", kOldSegment);
+  write_file(root + "/manifest.edx", "EDXMAN01");
   ServiceOptions options = make_options(1);
   options.store_root = root;
-  EXPECT_THROW(FleetService{options}, edx::Error);
+  expect_service_refuses(options, root);
+  EXPECT_FALSE(fs::exists(root + "/layout.edx"));
 }
 
 // The shutdown-ordering satellite: a store writer-thread error raised by

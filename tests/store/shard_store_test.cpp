@@ -1,11 +1,16 @@
 // ShardStore's durability contract: many tenants share one tenant-tagged
 // WAL, a drained batch touching K tenants costs ONE fdatasync (not K),
 // and recovery fans the tagged records back out to byte-identical
-// per-tenant fleets for any decoder thread count.  Crash repair follows
-// fleet_store_test.cpp exactly — a torn mixed-tenant active tail is
-// truncated to the salvaged prefix, sealed segments are never modified —
-// plus the partitioned-root helpers (layout pinning, root inspection)
-// the service builds on.  See store/shard_store.h and DESIGN.md §16.
+// per-tenant fleets for any decoder thread count.  Any prefix of appends
+// survives a restart byte-identically; a torn or corrupt active tail is
+// truncated to the salvaged prefix (never read past the first bad CRC)
+// while sealed segments are never modified; the snapshot's Step-1 state
+// warm-starts the analyzer to the exact bytes of a never-restarted run;
+// and files in an old on-disk format are refused untouched.  Plus the
+// partitioned-root helpers (layout pinning, root inspection) the service
+// builds on, and (suite FleetStoreTest) the single-fleet store that the
+// CLI's --store commands keep.  See store/shard_store.h and DESIGN.md
+// §13 and §16.
 #include "store/shard_store.h"
 
 #include <gtest/gtest.h>
@@ -13,19 +18,21 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/error.h"
 #include "core/event_power.h"
 #include "core/fleet_analyzer.h"
 #include "core/pipeline.h"
 #include "core/report_io.h"
 #include "power/tracker.h"
-#include "store/fleet_store.h"
+#include "store/codec.h"
 #include "trace/recorder.h"
 
 namespace edx::store {
@@ -46,7 +53,7 @@ power::UtilizationSample sample(TimestampMs timestamp, double power) {
   return s;
 }
 
-/// Same Fig.-6 fixture as fleet_store_test.cpp: 12 alternating events,
+/// Same Fig.-6 fixture as fleet_analyzer_test.cpp: 12 alternating events,
 /// optional ABD step at event 6, `variant` perturbs powers so re-uploads
 /// are distinguishable.
 trace::TraceBundle make_trace(UserId user, bool with_abd, int variant = 0) {
@@ -159,6 +166,67 @@ StoreOptions tiny_segments(std::size_t target_bytes = 4'000) {
   return options;
 }
 
+/// Every file under `dir` (recursively), keyed by path: the before/after
+/// image the refusal tests compare byte for byte.
+std::map<std::string, std::string> tree_bytes(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      files[entry.path().string()] = read_file(entry.path().string());
+    }
+  }
+  return files;
+}
+
+/// A segment in the retired single-tenant format: "EDXWAL02" + varint
+/// base, then frames of u8 kind | varint seq | bundle record.
+std::string old_format_segment() {
+  std::string file = "EDXWAL02";
+  put_varint(file, 1);
+  std::string frame(1, '\1');
+  put_varint(frame, 1);
+  frame += encode_bundle(make_trace(0, true));
+  put_varint(file, frame.size());
+  file += frame;
+  put_u32le(file, common::crc32c(frame));
+  return file;
+}
+
+/// A snapshot in the retired single-tenant format ("EDXSNAP1" + u32le
+/// version + varint payload_len + payload + u32le crc32c).
+std::string old_format_snapshot() {
+  std::string payload;
+  put_varint(payload, 1);  // seq
+  put_varint(payload, 1);  // bundle_count
+  put_string(payload, encode_bundle(make_trace(0, true)));
+  put_varint(payload, 0);  // name_count
+  put_varint(payload, 0);  // slot_count
+  std::string file = "EDXSNAP1";
+  put_u32le(file, 1);
+  put_varint(file, payload.size());
+  file += payload;
+  put_u32le(file, common::crc32c(payload));
+  return file;
+}
+
+/// Runs `open`, which must throw the one-line re-ingest Error naming
+/// `path`, and checks that no file under `dir` changed.
+template <typename Open>
+void expect_refused_untouched(const std::string& dir, const std::string& path,
+                              Open&& open) {
+  const std::map<std::string, std::string> before = tree_bytes(dir);
+  try {
+    open();
+    ADD_FAILURE() << "old format under " << dir << " was not refused";
+  } catch (const Error& refusal) {
+    const std::string message = refusal.what();
+    EXPECT_NE(message.find(path), std::string::npos) << message;
+    EXPECT_NE(message.find("re-ingest"), std::string::npos) << message;
+    EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+  }
+  EXPECT_EQ(tree_bytes(dir), before) << "refusal changed files under " << dir;
+}
+
 // ---------------------------------------------------------------------
 // Partitioned-root helpers
 // ---------------------------------------------------------------------
@@ -210,38 +278,45 @@ TEST(ShardRootTest, InspectRootClassifiesEveryKind) {
     EXPECT_EQ(info.shard_count, 3u);
   }
 
-  // wal-*.edx at the top level is a single FleetStore, not a root.
+  // Unrelated subdirectories and files do not make a store.
+  const std::string notes = temp_store("inspect_notes");
+  fs::create_directories(notes + "/docs");
+  write_file(notes + "/docs/readme.txt", "not a store");
+  EXPECT_EQ(inspect_root(notes).kind, RootKind::kEmpty);
+
+  // Store files at the top level are the retired single-store layout:
+  // refused with a re-ingest error, never opened or repaired.
   const std::string single = temp_store("inspect_single");
-  {
-    FleetStore store = FleetStore::open(single);
-    store.append(make_trace(0, false));
-  }
-  EXPECT_EQ(inspect_root(single).kind, RootKind::kSingleStore);
+  fs::create_directories(single);
+  write_file(single + "/wal-1.edx", old_format_segment());
+  write_file(single + "/manifest.edx", "EDXMAN01");
+  expect_refused_untouched(single, single,
+                           [&] { static_cast<void>(inspect_root(single)); });
 
-  // Per-tenant FleetStore directories are the legacy layout; the tenant
-  // list comes back sorted.
+  // Store directories not named shard-<i> are the retired per-tenant
+  // layout — refused too, with or without a layout file beside them.
   const std::string legacy = temp_store("inspect_legacy");
-  for (const std::string tenant : {"zeta", "alpha"}) {
-    FleetStore store = FleetStore::open(legacy + "/" + tenant);
-    store.append(make_trace(1, true));
-  }
-  {
-    const RootInfo info = inspect_root(legacy);
-    EXPECT_EQ(info.kind, RootKind::kLegacyPerTenant);
-    ASSERT_EQ(info.tenant_dirs.size(), 2u);
-    EXPECT_EQ(info.tenant_dirs[0], "alpha");
-    EXPECT_EQ(info.tenant_dirs[1], "zeta");
-  }
-
-  // A mid-migration crash leaves a layout file AND unmigrated tenant
-  // dirs; both must be reported so the migration can be finished.
+  fs::create_directories(legacy + "/alpha");
+  write_file(legacy + "/alpha/wal-1.edx", old_format_segment());
+  write_file(legacy + "/alpha/snapshot-1.edx", old_format_snapshot());
+  expect_refused_untouched(legacy, legacy + "/alpha",
+                           [&] { static_cast<void>(inspect_root(legacy)); });
   write_layout(legacy, 2);
-  {
-    const RootInfo info = inspect_root(legacy);
-    EXPECT_EQ(info.kind, RootKind::kPartitioned);
-    EXPECT_EQ(info.shard_count, 2u);
-    EXPECT_EQ(info.tenant_dirs.size(), 2u);
-  }
+  expect_refused_untouched(legacy, legacy + "/alpha",
+                           [&] { static_cast<void>(inspect_root(legacy)); });
+}
+
+// publish_file (layout, manifests, snapshots) renames only after a
+// successful fsync.  fsync(2) on /dev/null fails with EINVAL, so a temp
+// path planted as a symlink to it must fail the publish cleanly.
+TEST(ShardRootTest, LayoutPublishFailsWhenFsyncFails) {
+  const std::string root = temp_store("layout_fsync");
+  fs::create_directories(root);
+  fs::create_symlink("/dev/null", root + "/layout.edx.tmp");
+  EXPECT_THROW(write_layout(root, 3), Error);
+  EXPECT_FALSE(fs::exists(fs::symlink_status(root + "/layout.edx")));
+  EXPECT_FALSE(fs::exists(fs::symlink_status(root + "/layout.edx.tmp")));
+  EXPECT_FALSE(read_layout(root).has_value());
 }
 
 // ---------------------------------------------------------------------
@@ -585,6 +660,37 @@ TEST(ShardStoreTest, RepairedMixedTailAcceptsNewAppends) {
 }
 
 // ---------------------------------------------------------------------
+// Old formats are refused
+// ---------------------------------------------------------------------
+
+// A shard directory holding a segment of the retired EDXWAL02 format:
+// open() must throw before it removes a temp file, repairs the tail, or
+// writes a manifest — the header scan is not a torn create to truncate.
+TEST(ShardStoreTest, OldFormatSegmentIsRefusedUntouched) {
+  const std::string dir = temp_store("oldwal");
+  fs::create_directories(dir);
+  write_file(dir + "/wal-1.edx", old_format_segment());
+  write_file(dir + "/manifest.edx.tmp", "left by a crash");
+  expect_refused_untouched(dir, dir + "/wal-1.edx", [&] {
+    static_cast<void>(ShardStore::open(dir));
+  });
+}
+
+// Same for a snapshot of the retired EDXSNAP1 format beside a current
+// log: it is refused, not skipped as corrupt and replayed around.
+TEST(ShardStoreTest, OldFormatSnapshotIsRefusedUntouched) {
+  const std::string dir = temp_store("oldsnap");
+  {
+    ShardStore store = ShardStore::open(dir);
+    store.append(store.ensure_tenant("alpha"), make_trace(0, true));
+  }
+  write_file(dir + "/snapshot-1.edx", old_format_snapshot());
+  expect_refused_untouched(dir, dir + "/snapshot-1.edx", [&] {
+    static_cast<void>(ShardStore::open(dir));
+  });
+}
+
+// ---------------------------------------------------------------------
 // Compaction
 // ---------------------------------------------------------------------
 
@@ -767,6 +873,685 @@ TEST(ShardStoreTest, CloseRethrowsWriterThreadFailure) {
   // afterwards.
   EXPECT_THROW(store->close(), Error);
   store->close();
+}
+
+// ---------------------------------------------------------------------
+// One fleet per store (FleetStoreTest)
+// ---------------------------------------------------------------------
+
+// `ingest --store` and `analyze --store` keep a single fleet, tenant
+// "default", in its home shard directory.  These cases pin that use:
+// prefix durability, crash repair, snapshots and compaction, and warm
+// restart, with no second tenant in the log.
+
+/// The tenant the CLI's --store commands write and read.
+constexpr char kFleet[] = "default";
+
+TEST(FleetStoreTest, OpenCreatesEmptyStore) {
+  // The first ingest into a new root opens a home shard directory whose
+  // parents do not exist yet.
+  const std::string dir = shard_dir(temp_store("fleet_create"), 0);
+  const ShardStore store = ShardStore::open(dir);
+  EXPECT_FALSE(store.find_tenant(kFleet).has_value());
+  EXPECT_EQ(store.last_seq(), 0u);
+  EXPECT_EQ(store.snapshot_seq(), 0u);
+  EXPECT_FALSE(store.recovery().wal_tail_torn);
+  EXPECT_TRUE(store.recovery().manifest_ok);
+  EXPECT_TRUE(fs::exists(dir + "/wal-1.edx"));
+  EXPECT_TRUE(fs::exists(dir + "/manifest.edx"));
+  // The first segment starts as just its header: magic + varint base.
+  EXPECT_EQ(fs::file_size(dir + "/wal-1.edx"), 9u);
+}
+
+TEST(FleetStoreTest, AppendThenReopenRecoversFleetExactly) {
+  const std::string dir = temp_store("fleet_roundtrip");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(5);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir);
+    id = store.ensure_tenant(kFleet);
+    for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
+    EXPECT_EQ(store.last_seq(), 5u);
+    expect_fleet_equals(deref(store.fleet_refs(id)), bundles);
+  }
+  const ShardStore recovered = ShardStore::open(dir);
+  EXPECT_EQ(recovered.recovery().wal_records_replayed, 5u);
+  EXPECT_EQ(recovered.recovery().wal_bytes_dropped, 0u);
+  EXPECT_FALSE(recovered.recovery().wal_tail_torn);
+  EXPECT_TRUE(recovered.recovery().manifest_ok);
+  EXPECT_EQ(recovered.recovery().segments_scanned, 1u);
+  ASSERT_EQ(recovered.recovery().segments.size(), 1u);
+  const SegmentStats& seg = recovered.recovery().segments[0];
+  EXPECT_EQ(seg.records, 5u);
+  EXPECT_FALSE(seg.sealed);
+  ASSERT_EQ(seg.tenant_records.size(), 1u);
+  EXPECT_EQ(seg.tenant_records[0],
+            (std::pair<std::string, std::size_t>{kFleet, 5u}));
+  EXPECT_EQ(recovered.find_tenant(kFleet), std::optional<TenantId>(id));
+  EXPECT_EQ(recovered.last_seq(), 5u);
+  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+  // No snapshot yet: everything is tail.
+  EXPECT_TRUE(recovered.snapshot_refs(id).empty());
+  EXPECT_EQ(recovered.tail_refs(id).size(), 5u);
+}
+
+TEST(FleetStoreTest, AsyncAppendsAreDurableAfterFlush) {
+  const std::string dir = temp_store("fleet_asyncflush");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(6);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir);
+    id = store.ensure_tenant(kFleet);
+    for (std::size_t i = 0; i < bundles.size(); ++i) {
+      // Sequence numbers are assigned at enqueue, not at sync.
+      EXPECT_EQ(store.append_async(id, bundles[i]), i + 1);
+    }
+    EXPECT_EQ(store.last_seq(), 6u);
+    store.flush();
+  }
+  const ShardStore recovered = ShardStore::open(dir);
+  EXPECT_EQ(recovered.recovery().wal_records_replayed, 6u);
+  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+}
+
+TEST(FleetStoreTest, ReuploadReplacesSlotNotDuplicates) {
+  const std::string dir = temp_store("fleet_reupload");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(3);
+  const trace::TraceBundle reupload = make_trace(1, /*with_abd=*/false,
+                                                 /*variant=*/2);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir);
+    id = store.ensure_tenant(kFleet);
+    for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
+    store.append(id, reupload);
+    EXPECT_EQ(store.fleet_refs(id).size(), 3u);
+    EXPECT_EQ(store.last_seq(), 4u);
+  }
+  // The replacement persists across restart, in user 1's original slot.
+  std::vector<trace::TraceBundle> latest = bundles;
+  latest[1] = reupload;
+  const ShardStore recovered = ShardStore::open(dir);
+  EXPECT_EQ(recovered.recovery().wal_records_replayed, 4u);
+  expect_fleet_equals(deref(recovered.fleet_refs(id)), latest);
+}
+
+// A fleet ingested with `--fsync-policy none` survives a clean close and
+// reopens under the default policy, as `analyze --store` opens it.
+TEST(FleetStoreTest, FsyncPolicyNoneStillSurvivesCleanClose) {
+  const std::string dir = temp_store("fleet_nosync");
+  StoreOptions options;
+  options.fsync_policy = FsyncPolicy::kNone;
+  const std::vector<trace::TraceBundle> bundles = make_fleet(3);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir, options);
+    id = store.ensure_tenant(kFleet);
+    for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
+    EXPECT_EQ(store.fsync_count(), 0u);
+  }
+  const ShardStore recovered = ShardStore::open(dir);
+  EXPECT_EQ(recovered.recovery().wal_records_replayed, 3u);
+  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+}
+
+// Under `always` every durable append is its own sync.
+TEST(FleetStoreTest, FsyncPolicyAlwaysRoundTrips) {
+  const std::string dir = temp_store("fleet_alwayssync");
+  StoreOptions options;
+  options.fsync_policy = FsyncPolicy::kAlways;
+  const std::vector<trace::TraceBundle> bundles = make_fleet(3);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir, options);
+    id = store.ensure_tenant(kFleet);
+    for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
+    EXPECT_EQ(store.fsync_count(), bundles.size());
+  }
+  const ShardStore recovered = ShardStore::open(dir, options);
+  EXPECT_EQ(recovered.recovery().wal_records_replayed, 3u);
+  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+}
+
+TEST(FleetStoreTest, CompressedStoreRoundTripsAndShrinksTheWal) {
+  const std::string plain_dir = temp_store("fleet_nocompress");
+  const std::string packed_dir = temp_store("fleet_compress");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(5);
+  StoreOptions packed_options;
+  packed_options.compress = true;
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore plain = ShardStore::open(plain_dir);
+    ShardStore packed = ShardStore::open(packed_dir, packed_options);
+    id = plain.ensure_tenant(kFleet);
+    ASSERT_EQ(packed.ensure_tenant(kFleet), id);
+    for (const trace::TraceBundle& bundle : bundles) {
+      plain.append(id, bundle);
+      packed.append(id, bundle);
+    }
+  }
+  EXPECT_LT(fs::file_size(active_wal(packed_dir)),
+            fs::file_size(active_wal(plain_dir)));
+
+  // Compressed frames decode to the exact same fleet — and the analyzer
+  // output matches bit for bit.
+  const ShardStore recovered = ShardStore::open(packed_dir, packed_options);
+  EXPECT_EQ(recovered.recovery().wal_records_replayed, bundles.size());
+  const std::vector<trace::TraceBundle> packed_fleet =
+      deref(recovered.fleet_refs(id));
+  expect_fleet_equals(packed_fleet, bundles);
+  const core::ManifestationAnalyzer analyzer(make_config(1));
+  const ShardStore plain_recovered = ShardStore::open(plain_dir);
+  EXPECT_EQ(render(analyzer.run(packed_fleet)),
+            render(analyzer.run(deref(plain_recovered.fleet_refs(id)))));
+}
+
+TEST(FleetStoreTest, OpenRejectsUnreadableDirectory) {
+  // A root that exists as a *file* cannot hold a home shard directory.
+  const std::string root = ::testing::TempDir() + "/edx_shard_fleet_notadir";
+  write_file(root, "not a directory");
+  EXPECT_THROW(static_cast<void>(ShardStore::open(shard_dir(root, 0))),
+               Error);
+}
+
+TEST(FleetStoreTest, TruncationAtEveryByteOfFinalRecordSalvagesPrefix) {
+  const std::string dir = temp_store("fleet_truncate_src");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(4);
+  std::uintmax_t boundary = 0;  // WAL size before the final record
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir);
+    id = store.ensure_tenant(kFleet);
+    for (std::size_t i = 0; i + 1 < bundles.size(); ++i) {
+      store.append(id, bundles[i]);
+    }
+    boundary = fs::file_size(active_wal(dir));
+    store.append(id, bundles.back());
+  }
+  const std::string wal_name = fs::path(active_wal(dir)).filename().string();
+  const std::string wal_bytes = read_file(active_wal(dir));
+  ASSERT_GT(wal_bytes.size(), boundary);
+
+  const std::vector<trace::TraceBundle> prefix(bundles.begin(),
+                                               bundles.end() - 1);
+  const core::ManifestationAnalyzer analyzer(make_config(1));
+  const std::string want = render(analyzer.run(prefix));
+
+  const std::string victim = temp_store("fleet_truncate_victim");
+  for (std::uintmax_t cut = boundary; cut < wal_bytes.size(); ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut) + " of " +
+                 std::to_string(wal_bytes.size()));
+    fs::remove_all(victim);
+    fs::create_directories(victim);
+    write_file(victim + "/" + wal_name, wal_bytes.substr(0, cut));
+
+    const ShardStore store = ShardStore::open(victim);
+    ASSERT_EQ(store.recovery().wal_records_replayed, prefix.size());
+    const std::vector<trace::TraceBundle> fleet = deref(store.fleet_refs(id));
+    ASSERT_EQ(fleet.size(), prefix.size());
+    EXPECT_EQ(store.recovery().wal_bytes_salvaged, boundary);
+    EXPECT_EQ(store.recovery().wal_bytes_dropped, cut - boundary);
+    // Exactly at the record boundary the log is merely short, not torn.
+    EXPECT_EQ(store.recovery().wal_tail_torn, cut != boundary);
+    EXPECT_EQ(store.recovery().tail_bytes_truncated, cut - boundary);
+    expect_fleet_equals(fleet, prefix);
+    EXPECT_EQ(render(analyzer.run(fleet)), want);
+  }
+}
+
+// Multi-segment variant: tearing the *active* tail at every byte never
+// touches the sealed segments (bitwise identical before and after), and
+// recovery replays everything sealed plus the salvaged tail prefix.
+TEST(FleetStoreTest, ActiveTailTruncationLeavesSealedSegmentsUntouched) {
+  const std::string dir = temp_store("fleet_multitear_src");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(11);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir, tiny_segments());
+    id = store.ensure_tenant(kFleet);
+    for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
+  }
+  const std::vector<std::string> segments = segment_paths(dir);
+  ASSERT_GE(segments.size(), 3u) << "fixture should roll";
+  std::vector<std::string> sealed_bytes;
+  for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
+    sealed_bytes.push_back(read_file(segments[i]));
+  }
+  const std::string tail_path = segments.back();
+  const std::string tail_bytes = read_file(tail_path);
+  // How many records live in the sealed segments (the tail holds the rest).
+  const std::size_t sealed_records = [&] {
+    const ShardStore probe = ShardStore::open(dir, tiny_segments());
+    std::size_t count = 0;
+    const auto& per_segment = probe.recovery().segments;
+    for (std::size_t i = 0; i + 1 < per_segment.size(); ++i) {
+      count += per_segment[i].records;
+    }
+    return count;
+  }();
+
+  const std::size_t header_size = 8 + 2;  // magic + 2-byte varint base <= 16383
+  for (std::uintmax_t cut = tail_bytes.size(); cut + 1 > 0;) {
+    --cut;
+    if (cut < header_size && cut > 0) continue;  // header rebuild case below
+    SCOPED_TRACE("tail cut at byte " + std::to_string(cut));
+    write_file(tail_path, tail_bytes.substr(0, static_cast<size_t>(cut)));
+
+    const ShardStore store = ShardStore::open(dir, tiny_segments());
+    EXPECT_GE(store.recovery().wal_records_replayed, sealed_records);
+    for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
+      EXPECT_EQ(read_file(segments[i]), sealed_bytes[i])
+          << "sealed segment " << segments[i] << " was modified";
+      EXPECT_TRUE(store.recovery().segments[i].sealed);
+      EXPECT_FALSE(store.recovery().segments[i].torn);
+    }
+    // The replayed prefix of the fleet matches the original bundles.
+    const std::size_t have = store.recovery().wal_records_replayed;
+    expect_fleet_equals(deref(store.fleet_refs(id)),
+                        std::vector<trace::TraceBundle>(
+                            bundles.begin(),
+                            bundles.begin() + static_cast<long>(have)));
+  }
+}
+
+TEST(FleetStoreTest, CorruptionMidWalStopsAtFirstBadRecord) {
+  const std::string dir = temp_store("fleet_midcorrupt");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(5);
+  std::uintmax_t first_boundary = 0;
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir);
+    id = store.ensure_tenant(kFleet);
+    store.append(id, bundles[0]);
+    first_boundary = fs::file_size(active_wal(dir));
+    for (std::size_t i = 1; i < bundles.size(); ++i) {
+      store.append(id, bundles[i]);
+    }
+  }
+  // Flip one bit inside record 2.  Records 3..5 are fully intact, but the
+  // scan must stop at the first bad CRC and never look at them.
+  const std::string wal = active_wal(dir);
+  std::string wal_bytes = read_file(wal);
+  const std::size_t victim_byte = static_cast<std::size_t>(first_boundary) + 40;
+  ASSERT_LT(victim_byte, wal_bytes.size());
+  wal_bytes[victim_byte] = static_cast<char>(wal_bytes[victim_byte] ^ 0x10);
+  write_file(wal, wal_bytes);
+
+  const ShardStore store = ShardStore::open(dir);
+  EXPECT_EQ(store.recovery().wal_records_replayed, 1u);
+  EXPECT_TRUE(store.recovery().wal_tail_torn);
+  EXPECT_EQ(store.recovery().wal_bytes_salvaged, first_boundary);
+  EXPECT_EQ(store.recovery().wal_bytes_dropped,
+            wal_bytes.size() - first_boundary);
+  expect_fleet_equals(deref(store.fleet_refs(id)), {bundles[0]});
+}
+
+TEST(FleetStoreTest, RepairedTailAcceptsNewAppends) {
+  const std::string dir = temp_store("fleet_repair");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(3);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir);
+    id = store.ensure_tenant(kFleet);
+    for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
+  }
+  // Tear the last record mid-frame.
+  const std::string wal = active_wal(dir);
+  const std::string wal_bytes = read_file(wal);
+  write_file(wal, wal_bytes.substr(0, wal_bytes.size() - 25));
+
+  const trace::TraceBundle replacement = make_trace(2, /*with_abd=*/true,
+                                                    /*variant=*/1);
+  {
+    ShardStore store = ShardStore::open(dir);
+    EXPECT_TRUE(store.recovery().wal_tail_torn);
+    EXPECT_EQ(store.fleet_refs(id).size(), 2u);
+    EXPECT_EQ(store.last_seq(), 2u);
+    store.append(id, replacement);
+  }
+  // After repair + append the log is clean again and holds 3 records.
+  const ShardStore recovered = ShardStore::open(dir);
+  EXPECT_FALSE(recovered.recovery().wal_tail_torn);
+  EXPECT_EQ(recovered.recovery().wal_records_replayed, 3u);
+  expect_fleet_equals(deref(recovered.fleet_refs(id)),
+                      {bundles[0], bundles[1], replacement});
+}
+
+TEST(FleetStoreTest, TruncationBelowHeaderRebuildsWal) {
+  const std::string dir = temp_store("fleet_headerless");
+  {
+    ShardStore store = ShardStore::open(dir);
+    store.append(store.ensure_tenant(kFleet), make_trace(0, false));
+  }
+  // Simulate a crash that left only 3 bytes of the header: a prefix of
+  // the current magic is a torn create, not an old format.
+  const std::string wal = active_wal(dir);
+  const std::string wal_bytes = read_file(wal);
+  write_file(wal, wal_bytes.substr(0, 3));
+
+  {
+    ShardStore store = ShardStore::open(dir);
+    EXPECT_TRUE(store.recovery().wal_tail_torn);
+    EXPECT_EQ(store.tenant_count(), 0u);
+    store.append(store.ensure_tenant(kFleet), make_trace(7, true));
+  }
+  const ShardStore recovered = ShardStore::open(dir);
+  EXPECT_FALSE(recovered.recovery().wal_tail_torn);
+  const std::optional<TenantId> id = recovered.find_tenant(kFleet);
+  ASSERT_TRUE(id.has_value());
+  ASSERT_EQ(recovered.fleet_refs(*id).size(), 1u);
+  EXPECT_EQ(recovered.fleet_refs(*id)[0]->user, 7);
+}
+
+TEST(FleetStoreTest, ManifestCorruptionFallsBackToDirectoryScan) {
+  const std::string dir = temp_store("fleet_manifest");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(6);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir, tiny_segments());
+    id = store.ensure_tenant(kFleet);
+    for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
+  }
+  ASSERT_GE(segment_paths(dir).size(), 3u);
+
+  // Flip a payload bit: the CRC catches it, the directory scan recovers
+  // everything anyway, and the note says what happened.
+  std::string manifest = read_file(dir + "/manifest.edx");
+  manifest[manifest.size() / 2] =
+      static_cast<char>(manifest[manifest.size() / 2] ^ 0x04);
+  write_file(dir + "/manifest.edx", manifest);
+  {
+    const ShardStore store = ShardStore::open(dir, tiny_segments());
+    EXPECT_FALSE(store.recovery().manifest_ok);
+    EXPECT_NE(store.recovery().manifest_note.find("corrupt"),
+              std::string::npos);
+    EXPECT_EQ(store.recovery().wal_records_replayed, bundles.size());
+    expect_fleet_equals(deref(store.fleet_refs(id)), bundles);
+  }
+  // That open rewrote a correct manifest; the next open is clean again.
+  {
+    const ShardStore store = ShardStore::open(dir, tiny_segments());
+    EXPECT_TRUE(store.recovery().manifest_ok);
+  }
+  // A deleted manifest is reported too — and still recovers everything.
+  fs::remove(dir + "/manifest.edx");
+  {
+    const ShardStore store = ShardStore::open(dir, tiny_segments());
+    EXPECT_FALSE(store.recovery().manifest_ok);
+    EXPECT_NE(store.recovery().manifest_note.find("missing"),
+              std::string::npos);
+    expect_fleet_equals(deref(store.fleet_refs(id)), bundles);
+  }
+}
+
+TEST(FleetStoreTest, CompactWritesSnapshotAndObsoletesWalRecords) {
+  const std::string dir = temp_store("fleet_compact");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(4);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir);
+    id = store.ensure_tenant(kFleet);
+    for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
+    store.compact();
+    EXPECT_EQ(store.snapshot_seq(), 4u);
+    // Compacting again with nothing new is a no-op.
+    EXPECT_FALSE(store.compact_async());
+    store.wait_for_compaction();
+  }
+  EXPECT_TRUE(fs::exists(dir + "/snapshot-4.edx"));
+
+  // The records the snapshot covers still sit in the (unsealed) active
+  // segment; recovery counts them as obsolete and replays nothing.
+  const ShardStore recovered = ShardStore::open(dir);
+  EXPECT_EQ(recovered.snapshot_seq(), 4u);
+  EXPECT_EQ(recovered.recovery().snapshot_bundle_count, 4u);
+  EXPECT_EQ(recovered.recovery().wal_records_replayed, 0u);
+  EXPECT_EQ(recovered.recovery().wal_records_obsolete, 4u);
+  EXPECT_EQ(recovered.last_seq(), 4u);
+  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+  expect_fleet_equals(deref(recovered.snapshot_refs(id)), bundles);
+  EXPECT_TRUE(recovered.tail_refs(id).empty());
+}
+
+TEST(FleetStoreTest, CompactionDeletesSealedSegmentsItSubsumes) {
+  const std::string dir = temp_store("fleet_compactseal");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(8);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir, tiny_segments());
+    id = store.ensure_tenant(kFleet);
+    for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
+    ASSERT_GT(segment_paths(dir).size(), 2u) << "fixture should roll";
+    store.compact();
+  }
+  // Every sealed segment held only records <= the snapshot cut, so all
+  // of them are gone; only the active tail remains.
+  ASSERT_EQ(segment_paths(dir).size(), 1u);
+
+  const ShardStore recovered = ShardStore::open(dir, tiny_segments());
+  EXPECT_EQ(recovered.snapshot_seq(), 8u);
+  EXPECT_EQ(recovered.recovery().wal_records_replayed, 0u);
+  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+}
+
+TEST(FleetStoreTest, BackgroundCompactionKeepsAppendsFlowing) {
+  const std::string dir = temp_store("fleet_bgcompact");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(7);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir, tiny_segments());
+    id = store.ensure_tenant(kFleet);
+    for (int i = 0; i < 4; ++i) {
+      store.append(id, bundles[static_cast<std::size_t>(i)]);
+    }
+    ASSERT_TRUE(store.compact_async());
+    // Appends keep landing while the compaction folds seqs 1..4.
+    for (std::size_t i = 4; i < bundles.size(); ++i) {
+      store.append(id, bundles[i]);
+    }
+    store.wait_for_compaction();
+    EXPECT_EQ(store.snapshot_seq(), 4u);
+    EXPECT_EQ(store.last_seq(), 7u);
+    EXPECT_EQ(store.tail_refs(id).size(), 3u);
+    expect_fleet_equals(deref(store.fleet_refs(id)), bundles);
+  }
+  const ShardStore recovered = ShardStore::open(dir, tiny_segments());
+  EXPECT_EQ(recovered.snapshot_seq(), 4u);
+  EXPECT_EQ(recovered.tail_refs(id).size(), 3u);
+  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+}
+
+TEST(FleetStoreTest, PrunesAllButTwoNewestSnapshots) {
+  const std::string dir = temp_store("fleet_prune");
+  ShardStore store = ShardStore::open(dir);
+  const TenantId id = store.ensure_tenant(kFleet);
+  for (int round = 0; round < 4; ++round) {
+    store.append(id, make_trace(round, round % 2 == 0));
+    store.compact();
+  }
+  std::size_t snapshots = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("snapshot-")) ++snapshots;
+  }
+  EXPECT_EQ(snapshots, 2u);
+  EXPECT_TRUE(fs::exists(dir + "/snapshot-4.edx"));
+}
+
+TEST(FleetStoreTest, CorruptNewestSnapshotFallsBackToOlder) {
+  const std::string dir = temp_store("fleet_snapfallback");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(5);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir);
+    id = store.ensure_tenant(kFleet);
+    for (int i = 0; i < 3; ++i) {
+      store.append(id, bundles[static_cast<size_t>(i)]);
+    }
+    store.compact();  // snapshot-3.edx
+    store.append(id, bundles[3]);
+    store.append(id, bundles[4]);
+    store.compact();  // snapshot-5.edx
+  }
+  ASSERT_TRUE(fs::exists(dir + "/snapshot-3.edx"));
+  ASSERT_TRUE(fs::exists(dir + "/snapshot-5.edx"));
+  // Corrupt the newest snapshot's payload.
+  std::string snap = read_file(dir + "/snapshot-5.edx");
+  snap[snap.size() / 2] = static_cast<char>(snap[snap.size() / 2] ^ 0x01);
+  write_file(dir + "/snapshot-5.edx", snap);
+
+  const ShardStore store = ShardStore::open(dir);
+  EXPECT_EQ(store.recovery().snapshots_found, 2u);
+  EXPECT_EQ(store.recovery().snapshots_skipped, 1u);
+  EXPECT_EQ(store.snapshot_seq(), 3u);
+  // Records 4 and 5 still sit in the active segment (compaction only
+  // deletes *sealed* segments), so falling back to the older snapshot
+  // replays them and no upload is lost.
+  EXPECT_EQ(store.recovery().wal_records_obsolete, 3u);
+  EXPECT_EQ(store.recovery().wal_records_replayed, 2u);
+  expect_fleet_equals(deref(store.fleet_refs(id)), bundles);
+}
+
+TEST(FleetStoreTest, CompressedStoreSurvivesRestartAndCompaction) {
+  const std::string dir = temp_store("fleet_compress_compact");
+  StoreOptions options = tiny_segments();
+  options.compress = true;
+  const std::vector<trace::TraceBundle> bundles = make_fleet(7);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir, options);
+    id = store.ensure_tenant(kFleet);
+    for (int i = 0; i < 4; ++i) {
+      store.append(id, bundles[static_cast<size_t>(i)]);
+    }
+    store.compact();
+    for (std::size_t i = 4; i < bundles.size(); ++i) {
+      store.append(id, bundles[i]);
+    }
+  }
+  const ShardStore recovered = ShardStore::open(dir, options);
+  EXPECT_EQ(recovered.snapshot_seq(), 4u);
+  EXPECT_EQ(recovered.tail_refs(id).size(), 3u);
+  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+}
+
+TEST(FleetStoreTest, MultiSegmentRecoveryIsIdenticalForAnyThreadCount) {
+  const std::string dir = temp_store("fleet_parallelrecover");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(9);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir, tiny_segments());
+    id = store.ensure_tenant(kFleet);
+    for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
+  }
+  ASSERT_GE(segment_paths(dir).size(), 3u) << "fixture should roll";
+
+  std::string reference;
+  const core::ManifestationAnalyzer analyzer(make_config(1));
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("recovery_threads=" + std::to_string(threads));
+    StoreOptions options = tiny_segments();
+    options.recovery_threads = threads;
+    const ShardStore store = ShardStore::open(dir, options);
+    EXPECT_EQ(store.recovery().wal_records_replayed, bundles.size());
+    EXPECT_GE(store.recovery().segments_scanned, 3u);
+    const std::vector<trace::TraceBundle> fleet = deref(store.fleet_refs(id));
+    expect_fleet_equals(fleet, bundles);
+    // Byte-identical report no matter how many decoder threads ran: the
+    // merge (and therefore event interning) is sequential by design.
+    const std::string report = render(analyzer.run(fleet));
+    if (reference.empty()) {
+      reference = report;
+    } else {
+      EXPECT_EQ(report, reference);
+    }
+  }
+}
+
+TEST(FleetStoreTest, SnapshotStep1IsBitIdenticalToEventPower) {
+  const std::string dir = temp_store("fleet_warmstep1");
+  std::vector<trace::TraceBundle> bundles = make_fleet(6);
+  const trace::TraceBundle reupload = make_trace(4, /*with_abd=*/true,
+                                                 /*variant=*/1);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir);
+    id = store.ensure_tenant(kFleet);
+    for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
+    // A re-upload before the cut: the snapshot's Step-1 state must
+    // describe the replacement in user 4's slot, not the original.
+    store.append(id, reupload);
+    store.compact();
+  }
+  bundles[4] = reupload;
+  const ShardStore recovered = ShardStore::open(dir);
+  expect_fleet_equals(deref(recovered.snapshot_refs(id)), bundles);
+  const std::vector<core::AnalyzedTrace> warm = recovered.snapshot_step1(id);
+  ASSERT_EQ(warm.size(), bundles.size());
+  for (std::size_t t = 0; t < warm.size(); ++t) {
+    const core::AnalyzedTrace direct =
+        core::estimate_event_power(*recovered.snapshot_refs(id)[t]);
+    SCOPED_TRACE("slot " + std::to_string(t));
+    EXPECT_EQ(warm[t].user, direct.user);
+    ASSERT_EQ(warm[t].events.size(), direct.events.size());
+    for (std::size_t i = 0; i < warm[t].events.size(); ++i) {
+      EXPECT_EQ(warm[t].events[i].id, direct.events[i].id);
+      EXPECT_EQ(warm[t].events[i].interval, direct.events[i].interval);
+      // Exact double equality: the snapshot stores the raw bits.
+      EXPECT_EQ(warm[t].events[i].raw_power, direct.events[i].raw_power);
+    }
+  }
+}
+
+TEST(FleetStoreTest, WarmRestartMatchesNeverRestartedRun) {
+  const std::string dir = temp_store("fleet_warmrestart");
+  std::vector<trace::TraceBundle> arrivals = make_fleet(7);
+  arrivals.push_back(make_trace(2, /*with_abd=*/true, /*variant=*/3));
+
+  // Session 1: five uploads, compact, three more uploads, crash
+  // (destructor).
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir);
+    id = store.ensure_tenant(kFleet);
+    for (int i = 0; i < 5; ++i) {
+      store.append(id, arrivals[static_cast<size_t>(i)]);
+    }
+    store.compact();
+    for (std::size_t i = 5; i < arrivals.size(); ++i) {
+      store.append(id, arrivals[i]);
+    }
+  }
+
+  for (std::size_t num_threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(num_threads));
+    // Never-restarted reference: one analyzer fed every arrival in order.
+    core::FleetAnalyzer reference(make_config(num_threads));
+    for (const trace::TraceBundle& bundle : arrivals) {
+      reference.add_bundle(bundle);
+    }
+    const std::string want = render(reference.snapshot());
+
+    // Restarted run: snapshot slots warm-start via add_analyzed (no power
+    // join), the WAL tail goes through add_bundle.
+    StoreOptions options;
+    options.recovery_threads = num_threads;
+    const ShardStore recovered = ShardStore::open(dir, options);
+    EXPECT_EQ(recovered.snapshot_seq(), 5u);
+    EXPECT_EQ(recovered.tail_refs(id).size(), 3u);
+    core::FleetAnalyzer warm(make_config(num_threads));
+    for (core::AnalyzedTrace& analyzed : recovered.snapshot_step1(id)) {
+      warm.add_analyzed(std::move(analyzed));
+    }
+    for (const BundleRef& bundle : recovered.tail_refs(id)) {
+      warm.add_bundle(*bundle);
+    }
+    EXPECT_EQ(render(warm.snapshot()), want);
+
+    // And the batch path over the recovered fleet agrees too.
+    const core::ManifestationAnalyzer batch(make_config(num_threads));
+    EXPECT_EQ(render(batch.run(deref(recovered.fleet_refs(id)))), want);
+  }
 }
 
 }  // namespace

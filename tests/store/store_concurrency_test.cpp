@@ -1,18 +1,19 @@
-// Thread-safety of the group-commit store: concurrent producers mixing
-// blocking and async appends, with a background compaction racing them,
-// must never lose a record, corrupt the fleet, or trip TSan (the CI TSan
-// job runs exactly this suite).
+// Thread-safety of the group-commit store: concurrent producers spread
+// over several tenants, mixing blocking and async appends, with a
+// background compaction racing them, must never lose a record, corrupt a
+// fleet, or trip TSan (the CI TSan job runs this suite).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "power/tracker.h"
-#include "store/fleet_store.h"
+#include "store/shard_store.h"
 #include "trace/recorder.h"
 
 namespace edx::store {
@@ -45,19 +46,37 @@ trace::TraceBundle make_trace(UserId user, int variant) {
   return bundle;
 }
 
-/// N producer threads (half blocking, half async) race appends against
-/// periodic background compactions; afterwards the in-memory fleet must
-/// hold every user and a reopen must agree with it exactly.
+/// Every tenant's fleet as bundle text, slot order, keyed by tenant.
+std::vector<std::vector<std::string>> fleet_texts(
+    const ShardStore& store, const std::vector<std::string>& keys) {
+  std::vector<std::vector<std::string>> texts;
+  for (const std::string& key : keys) {
+    const std::optional<TenantId> id = store.find_tenant(key);
+    EXPECT_TRUE(id.has_value()) << key;
+    std::vector<std::string>& fleet = texts.emplace_back();
+    if (!id.has_value()) continue;
+    for (const BundleRef& bundle : store.fleet_refs(*id)) {
+      fleet.push_back(bundle->to_text());
+    }
+  }
+  return texts;
+}
+
+/// N producer threads over two tenants (each tenant gets one blocking and
+/// one async producer, registering it concurrently) race appends against
+/// periodic background compactions; afterwards every fleet must hold all
+/// of its users and a reopen must agree with it exactly.
 TEST(StoreConcurrencyTest, ConcurrentAppendsCompactionAndReopenAgree) {
   const std::string dir = temp_store("race");
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 25;
+  const std::vector<std::string> keys = {"alpha", "beta"};
   StoreOptions options;
   options.fsync_policy = FsyncPolicy::kNone;  // keep the race fast
   options.segment_target_bytes = 4'000;       // force segment rolls mid-race
-  std::vector<std::string> fleet_text;
+  std::vector<std::vector<std::string>> fleets;
   {
-    FleetStore store = FleetStore::open(dir, options);
+    ShardStore store = ShardStore::open(dir, options);
     std::atomic<bool> done{false};
     std::thread compactor([&store, &done] {
       while (!done.load()) {
@@ -67,14 +86,16 @@ TEST(StoreConcurrencyTest, ConcurrentAppendsCompactionAndReopenAgree) {
     });
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&store, p] {
+      producers.emplace_back([&store, &keys, p] {
+        const TenantId id =
+            store.ensure_tenant(keys[static_cast<std::size_t>(p / 2)]);
         for (int i = 0; i < kPerProducer; ++i) {
           const UserId user =
               static_cast<UserId>(p * kPerProducer + i);
           if (p % 2 == 0) {
-            store.append(make_trace(user, i));
+            store.append(id, make_trace(user, i));
           } else {
-            store.append_async(make_trace(user, i));
+            store.append_async(id, make_trace(user, i));
           }
         }
       });
@@ -87,50 +108,52 @@ TEST(StoreConcurrencyTest, ConcurrentAppendsCompactionAndReopenAgree) {
 
     EXPECT_EQ(store.last_seq(),
               static_cast<std::uint64_t>(kProducers * kPerProducer));
-    ASSERT_EQ(store.fleet_size(),
-              static_cast<std::size_t>(kProducers * kPerProducer));
-    for (const trace::TraceBundle& bundle : store.fleet()) {
-      fleet_text.push_back(bundle.to_text());
+    fleets = fleet_texts(store, keys);
+    for (const std::vector<std::string>& fleet : fleets) {
+      EXPECT_EQ(fleet.size(), static_cast<std::size_t>(2 * kPerProducer));
     }
   }
 
-  // A fresh recovery (snapshot + surviving segments) reproduces the
+  // A fresh recovery (snapshot + surviving segments) reproduces every
   // pre-close fleet byte for byte, in the same slot order.
-  const FleetStore recovered = FleetStore::open(dir, options);
-  ASSERT_EQ(recovered.fleet_size(), fleet_text.size());
-  const std::vector<trace::TraceBundle> recovered_fleet = recovered.fleet();
-  for (std::size_t i = 0; i < fleet_text.size(); ++i) {
-    EXPECT_EQ(recovered_fleet[i].to_text(), fleet_text[i]) << "slot " << i;
-  }
+  const ShardStore recovered = ShardStore::open(dir, options);
+  EXPECT_EQ(fleet_texts(recovered, keys), fleets);
 }
 
-/// Re-uploads from many threads: the fleet must end with one slot per
-/// user regardless of interleaving, and every slot must hold one of that
-/// user's uploads (the WAL decides which one won).
+/// Re-uploads from many threads, each writing to both tenants: every
+/// fleet must end with one slot per user regardless of interleaving (the
+/// WAL decides which upload won).
 TEST(StoreConcurrencyTest, ConcurrentReuploadsKeepOneSlotPerUser) {
   const std::string dir = temp_store("reupload");
   constexpr int kUsers = 8;
   constexpr int kRounds = 10;
+  const std::vector<std::string> keys = {"alpha", "beta"};
   StoreOptions options;
   options.fsync_policy = FsyncPolicy::kNone;
   {
-    FleetStore store = FleetStore::open(dir, options);
+    ShardStore store = ShardStore::open(dir, options);
     std::vector<std::thread> producers;
     for (int p = 0; p < 3; ++p) {
-      producers.emplace_back([&store, p] {
+      producers.emplace_back([&store, &keys, p] {
         for (int round = 0; round < kRounds; ++round) {
           for (UserId user = 0; user < kUsers; ++user) {
-            store.append_async(make_trace(user, p * kRounds + round));
+            const TenantId id = store.ensure_tenant(
+                keys[static_cast<std::size_t>(user) % keys.size()]);
+            store.append_async(id, make_trace(user, p * kRounds + round));
           }
         }
       });
     }
     for (std::thread& producer : producers) producer.join();
     store.flush();
-    EXPECT_EQ(store.fleet_size(), static_cast<std::size_t>(kUsers));
+    for (const std::vector<std::string>& fleet : fleet_texts(store, keys)) {
+      EXPECT_EQ(fleet.size(), static_cast<std::size_t>(kUsers / 2));
+    }
   }
-  const FleetStore recovered = FleetStore::open(dir, options);
-  EXPECT_EQ(recovered.fleet_size(), static_cast<std::size_t>(kUsers));
+  const ShardStore recovered = ShardStore::open(dir, options);
+  for (const std::vector<std::string>& fleet : fleet_texts(recovered, keys)) {
+    EXPECT_EQ(fleet.size(), static_cast<std::size_t>(kUsers / 2));
+  }
   EXPECT_EQ(recovered.last_seq(),
             static_cast<std::uint64_t>(3 * kRounds * kUsers));
 }

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "android/apk.h"
 #include "android/apk_builder.h"
@@ -377,10 +380,10 @@ TEST(CliTest, StoreInfoReportsTornTailThenRepairedClean) {
                 out, err),
             0);
   // Tear the final record of the active tail (the wal-<base>.edx with the
-  // largest base) mid-frame.
+  // largest base in the one shard of the new root) mid-frame.
   std::string wal;
   std::uint64_t max_base = 0;
-  for (const auto& entry : fs::directory_iterator(store)) {
+  for (const auto& entry : fs::directory_iterator(store + "/shard-0")) {
     const std::string name = entry.path().filename().string();
     if (name.starts_with("wal-") && name.ends_with(".edx")) {
       const std::uint64_t base = std::stoull(name.substr(4));
@@ -396,7 +399,8 @@ TEST(CliTest, StoreInfoReportsTornTailThenRepairedClean) {
 
   std::ostringstream torn_info;
   EXPECT_EQ(run({"store-info", "--store", store}, torn_info, err), 0);
-  EXPECT_NE(torn_info.str().find("fleet: 3 users"), std::string::npos);
+  EXPECT_NE(torn_info.str().find("'default': fleet 3 users"),
+            std::string::npos);
   EXPECT_NE(torn_info.str().find("3 records replayed"), std::string::npos);
   EXPECT_NE(torn_info.str().find("tail: torn"), std::string::npos);
   EXPECT_NE(torn_info.str().find("repaired on open"), std::string::npos);
@@ -406,7 +410,8 @@ TEST(CliTest, StoreInfoReportsTornTailThenRepairedClean) {
   std::ostringstream clean_info;
   EXPECT_EQ(run({"store-info", "--store", store}, clean_info, err), 0);
   EXPECT_NE(clean_info.str().find("tail: clean"), std::string::npos);
-  EXPECT_NE(clean_info.str().find("fleet: 3 users"), std::string::npos);
+  EXPECT_NE(clean_info.str().find("'default': fleet 3 users"),
+            std::string::npos);
   EXPECT_NE(clean_info.str().find("manifest: ok"), std::string::npos);
 }
 
@@ -543,34 +548,55 @@ TEST(CliTest, IngestTenantBuildsPartitionedRootStoreInfoReadsIt) {
   EXPECT_NE(text.find("verdict: partitioned layout, ready to serve"),
             std::string::npos);
 
-  // Reopening with a different shard count is refused; --shards without
-  // --tenant is a usage error too.
+  // Reopening with a different shard count is refused, with or without
+  // --tenant; without it, the stored count ingests as tenant 'default'.
   std::ostringstream out;
   EXPECT_EQ(run({"ingest", "--store", root, "--tenant", "mail", "--shards",
                  "3", dir},
                 out, err),
             2);
-  EXPECT_EQ(run({"ingest", "--store", root, "--shards", "2", dir}, out, err),
+  EXPECT_EQ(run({"ingest", "--store", root, "--shards", "3", dir}, out, err),
             2);
+  ASSERT_EQ(run({"ingest", "--store", root, "--shards", "2", dir}, out, err),
+            0);
+  EXPECT_NE(out.str().find("as tenant 'default'"), std::string::npos);
 }
 
-TEST(CliTest, StoreInfoNamesLegacyLayoutAndItsMigrationPath) {
+TEST(CliTest, StoreInfoRefusesLegacyLayoutUntouched) {
   const std::string dir = temp_dir("legacy_src");
   const std::string root = temp_dir("legacy_root");
-  std::ostringstream log, err;
+  std::ostringstream log;
   ASSERT_EQ(cmd_simulate(5, dir, /*users=*/4, /*seed=*/9, log), 0);
-  // Two single-tenant FleetStores under one root = the legacy layout.
-  for (const std::string tenant : {"mail", "maps"}) {
-    std::ostringstream out;
-    ASSERT_EQ(run({"ingest", "--store", root + "/" + tenant, dir}, out, err),
-              0);
+  // The retired per-tenant layout: a store directory per tenant, holding
+  // a segment of the old single-tenant format (complete magic only).
+  fs::create_directories(root + "/mail");
+  const std::string old_segment = std::string("EDXWAL02") + '\x01';
+  {
+    std::ofstream wal(root + "/mail/wal-1.edx", std::ios::binary);
+    wal << old_segment;
   }
-  std::ostringstream info;
-  ASSERT_EQ(run({"store-info", "--store", root}, info, err), 0);
-  const std::string text = info.str();
-  EXPECT_NE(text.find("legacy per-tenant layout"), std::string::npos);
-  EXPECT_NE(text.find("mail"), std::string::npos);
-  EXPECT_NE(text.find("serve --store-root"), std::string::npos);
+  // Every store command refuses it with one re-ingest line and leaves the
+  // root exactly as it was: no layout, no shard, no repaired segment.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"store-info", "--store", root},
+        std::vector<std::string>{"ingest", "--store", root, dir},
+        std::vector<std::string>{"analyze", "--store", root}}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run(args, out, err), 1) << args[0];
+    EXPECT_NE(err.str().find(root + "/mail"), std::string::npos) << err.str();
+    EXPECT_NE(err.str().find("re-ingest"), std::string::npos) << err.str();
+  }
+  std::vector<std::string> entries;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    entries.push_back(entry.path().string());
+  }
+  std::sort(entries.begin(), entries.end());
+  EXPECT_EQ(entries, (std::vector<std::string>{root + "/mail",
+                                               root + "/mail/wal-1.edx"}));
+  std::ifstream wal(root + "/mail/wal-1.edx", std::ios::binary);
+  std::stringstream bytes;
+  bytes << wal.rdbuf();
+  EXPECT_EQ(bytes.str(), old_segment);
 }
 
 TEST(CliTest, ServeStoreFlagsPersistAndReportFsyncs) {
