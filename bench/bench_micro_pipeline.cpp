@@ -309,11 +309,11 @@ BENCHMARK(BM_FleetIncremental)->Arg(50)->Arg(100)->Arg(200);
 
 /// The long-trace variant of the growth episode: a small fleet (6 users)
 /// whose traces each carry Arg instances, so per-arrival cost is dominated
-/// by the per-trace kernels — normalization, the one-pass amplitude scan,
-/// selection quartiles, and run-window repair — not by fleet-width
-/// bookkeeping.  items_per_second counts instances ingested (fleet x
-/// instances per episode); a superlinear kernel shows up directly as a
-/// falling rate between sizes.
+/// by the per-trace kernels — normalization, the one-pass amplitude scan
+/// and the sorted amplitude cache — not by fleet-width bookkeeping.
+/// items_per_second counts instances ingested (fleet x instances per
+/// episode); a superlinear kernel shows up directly as a falling rate
+/// between sizes.
 void BM_FleetIncrementalLongTrace(benchmark::State& state) {
   const int instances = static_cast<int>(state.range(0));
   const int fleet = 6;
@@ -350,14 +350,14 @@ void BM_FleetBatchRecompute(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetBatchRecompute)->Arg(50)->Arg(100)->Arg(200);
 
-/// The sparse-arrival regime the delta path is built for: every trace is
-/// dominated by common events whose power is bit-identical across users
-/// (their base never moves, so they never dirty anything), plus one rare
-/// event shared by ~8 users whose power varies per user.  An arrival
-/// therefore perturbs only the handful of traces holding its rare event,
-/// and the amortized per-arrival cost should stay near-flat as the fleet
-/// grows — contrast with BM_FleetIncremental, where all 12 shared events'
-/// bases move on every arrival and each snapshot touches the whole fleet.
+/// The sparse-arrival regime: every trace is dominated by common events
+/// whose power is bit-identical across users (their base never moves, so
+/// they never dirty anything), plus one rare event shared by ~8 users
+/// whose power varies per user.  An arrival therefore perturbs only the
+/// handful of traces holding its rare event, and the amortized
+/// per-arrival cost should stay near-flat as the fleet grows — contrast
+/// with BM_FleetIncremental, where all 12 shared events' bases move on
+/// every arrival and each snapshot touches the whole fleet.
 std::vector<trace::TraceBundle> sparse_bundles(int fleet) {
   std::vector<trace::TraceBundle> bundles;
   const int rare_pool = std::max(1, fleet / 8);

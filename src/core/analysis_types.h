@@ -8,10 +8,10 @@
 //
 // The Step-3/4 annotations are structure-of-arrays lanes on AnalyzedTrace
 // rather than fields on PoweredEvent: the normalize/amplitude/fence hot
-// loops read and write contiguous double arrays (unit stride, so the
-// full-recompute kernels autovectorize) instead of striding through
-// padded structs, and the incremental fleet engine
-// (core/fleet_analyzer.h) can scatter-update single lanes in place.
+// loops read and write contiguous arrays at unit stride instead of
+// striding through padded structs, and the incremental fleet engine
+// (core/fleet_analyzer.h) refreshes a trace by re-running those loops
+// over its lanes in place.
 #pragma once
 
 #include <cstddef>
@@ -50,19 +50,12 @@ struct AnalyzedTrace {
   /// Variation amplitude V_i (run peak minus run start).
   std::vector<double> variation_amplitude;
   /// Index of the monotone run's peak the amplitude measures to (== i + 1
-  /// for a plain single-step difference, == i for the last instance).
+  /// for a plain single-step difference, == i for the last instance);
+  /// instance i's run spans [i, run_peak_index[i]].
   std::vector<std::uint32_t> run_peak_index;
-  /// Highest instance index whose normalized power V_i depends on: the
-  /// last position the run scan inspected (the one that ended the run).
-  /// The incremental repair (core/detection.h) uses it to decide which
-  /// amplitudes a changed instance can perturb.
-  std::vector<std::uint32_t> run_dep_end;
   /// Normalized power at the run's peak —
   /// normalized_power[run_peak_index[i]], bitwise — so the fence decision
   /// loop tests the peak-level guard on a dense lane instead of a gather.
-  /// Kept exact through incremental repair: a change to the normalized
-  /// power at a run's peak always lands inside that run's
-  /// [i, run_dep_end[i]] window, which forces the run's recompute.
   std::vector<double> run_peak_power;
   /// Dense copy of events[i].interval.begin, refreshed by
   /// attribute_variation_amplitude, so the Step-4 sustain-window walk

@@ -1,7 +1,6 @@
 #include "core/detection.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -13,11 +12,10 @@ namespace detail {
 void amplitude_at_reference(const double* norm, std::size_t count,
                             std::size_t i, const DetectionConfig& config,
                             double* amp, std::uint32_t* peak,
-                            std::uint32_t* dep, double* peak_power) {
+                            double* peak_power) {
   if (i + 1 >= count) {
     amp[i] = 0.0;
     peak[i] = static_cast<std::uint32_t>(i);
-    dep[i] = static_cast<std::uint32_t>(i);
     peak_power[i] = norm[i];
     return;
   }
@@ -28,7 +26,6 @@ void amplitude_at_reference(const double* norm, std::size_t count,
     // plain single-step difference.
     amp[i] = single_step;
     peak[i] = static_cast<std::uint32_t>(i + 1);
-    dep[i] = static_cast<std::uint32_t>(i + 1);
     peak_power[i] = norm[i + 1];
     return;
   }
@@ -64,10 +61,6 @@ void amplitude_at_reference(const double* norm, std::size_t count,
   }
   amp[i] = run_peak - start;
   peak[i] = static_cast<std::uint32_t>(peak_index);
-  // The scan inspected normalized powers up to norm[end + 1] (the value
-  // that ended the run), capped at the last instance when the run ran off
-  // the trace edge.
-  dep[i] = static_cast<std::uint32_t>(std::min(end + 1, count - 1));
   peak_power[i] = run_peak;
 }
 
@@ -75,7 +68,7 @@ void amplitude_at_reference(const double* norm, std::size_t count,
 
 namespace {
 
-/// Step-4 attribution: fills all four amplitude lanes (and the dense
+/// Step-4 attribution: fills all three amplitude lanes (and the dense
 /// begin_ms timestamp lane) for every instance, in O(n) total.
 ///
 /// The per-index reference walk (detail::amplitude_at_reference) costs
@@ -124,20 +117,11 @@ namespace {
 /// bridge decision evaluates the reference's exact expressions on the
 /// exact same doubles, so all lanes are bitwise identical to the
 /// reference (pinned by tests/core/amplitude_scan_property_test.cpp).
-///
-/// With kDiffs, appends one AmplitudeChange per amplitude whose value
-/// moved relative to the lane's previous contents (the repair fallback
-/// path; lanes must then be sized and hold the pre-change state).  The
-/// hot full-recompute path instantiates kDiffs = false, so its emit is
-/// four unconditional stores — no per-index diff test.
-template <bool kDiffs>
 void scan_amplitudes(AnalyzedTrace& trace, const DetectionConfig& config,
-                     DetectionScratch& scratch,
-                     std::vector<AmplitudeChange>* diffs) {
+                     DetectionScratch& scratch) {
   const std::size_t count = trace.events.size();
   trace.variation_amplitude.resize(count);
   trace.run_peak_index.resize(count);
-  trace.run_dep_end.resize(count);
   trace.run_peak_power.resize(count);
   trace.begin_ms.resize(count);
   if (count == 0) return;
@@ -147,30 +131,23 @@ void scan_amplitudes(AnalyzedTrace& trace, const DetectionConfig& config,
   const double* norm = trace.normalized_power.data();
   double* amp = trace.variation_amplitude.data();
   std::uint32_t* peak = trace.run_peak_index.data();
-  std::uint32_t* dep = trace.run_dep_end.data();
   double* peak_power = trace.run_peak_power.data();
 
   const auto emit = [&](std::size_t i, double value, std::size_t peak_index,
-                        std::size_t dep_end, double peak_value) {
-    if constexpr (kDiffs) {
-      if (value != amp[i]) {
-        diffs->push_back({static_cast<std::uint32_t>(i), amp[i], value});
-      }
-    }
+                        double peak_value) {
     amp[i] = value;
     peak[i] = static_cast<std::uint32_t>(peak_index);
-    dep[i] = static_cast<std::uint32_t>(dep_end);
     peak_power[i] = peak_value;
   };
 
   const std::size_t last = count - 1;
-  emit(last, 0.0, last, last, norm[last]);
+  emit(last, 0.0, last, norm[last]);
   if (!config.extend_monotone_runs) {
     for (std::size_t i = 0; i < count; ++i) {
       begin[i] = events[i].interval.begin;
     }
     for (std::size_t i = 0; i < last; ++i) {
-      emit(i, norm[i + 1] - norm[i], i + 1, i + 1, norm[i + 1]);
+      emit(i, norm[i + 1] - norm[i], i + 1, norm[i + 1]);
     }
     return;
   }
@@ -188,7 +165,7 @@ void scan_amplitudes(AnalyzedTrace& trace, const DetectionConfig& config,
       begin[i] = events[i].interval.begin;
       const double single_step = norm[i + 1] - norm[i];
       if (single_step <= 0.0) {
-        emit(i, single_step, i + 1, i + 1, norm[i + 1]);
+        emit(i, single_step, i + 1, norm[i + 1]);
         continue;
       }
       const double start = norm[i];
@@ -215,8 +192,7 @@ void scan_amplitudes(AnalyzedTrace& trace, const DetectionConfig& config,
           break;
         }
       }
-      emit(i, run_peak - start, peak_index, std::min(end + 1, count - 1),
-           run_peak);
+      emit(i, run_peak - start, peak_index, run_peak);
       const std::size_t walked = end - i;
       if (walked >= budget) {
         ++i;  // this index is done; the scan takes over from the next
@@ -252,7 +228,7 @@ void scan_amplitudes(AnalyzedTrace& trace, const DetectionConfig& config,
     begin[i] = events[i].interval.begin;
     const double single_step = norm[i + 1] - norm[i];
     if (single_step <= 0.0) {
-      emit(i, single_step, i + 1, i + 1, norm[i + 1]);
+      emit(i, single_step, i + 1, norm[i + 1]);
       continue;
     }
     // The run's first decision point is the first down-step at or past
@@ -282,7 +258,7 @@ void scan_amplitudes(AnalyzedTrace& trace, const DetectionConfig& config,
           run_peak = norm[last];
           peak_index = fplateau;
         }
-        emit(i, run_peak - start, peak_index, last, run_peak);
+        emit(i, run_peak - start, peak_index, run_peak);
         break;
       }
       const std::uint32_t m = downs[k].pos;
@@ -305,7 +281,7 @@ void scan_amplitudes(AnalyzedTrace& trace, const DetectionConfig& config,
         ++k;
         continue;
       }
-      emit(i, run_peak - start, peak_index, m + 1, run_peak);
+      emit(i, run_peak - start, peak_index, run_peak);
       break;
     }
   }
@@ -420,58 +396,7 @@ void attribute_variation_amplitude(AnalyzedTrace& trace,
                                    const DetectionConfig& config,
                                    DetectionScratch& scratch) {
   require_normalized(trace, "attribute_variation_amplitude");
-  scan_amplitudes<false>(trace, config, scratch, nullptr);
-}
-
-void repair_variation_amplitudes(AnalyzedTrace& trace,
-                                 std::span<const std::uint32_t> changed,
-                                 const DetectionConfig& config,
-                                 std::vector<AmplitudeChange>& amp_changes) {
-  if (changed.empty()) return;
-  require_normalized(trace, "repair_variation_amplitudes");
-  const std::size_t count = trace.events.size();
-  const double* norm = trace.normalized_power.data();
-  double* amp = trace.variation_amplitude.data();
-  std::uint32_t* peak = trace.run_peak_index.data();
-  std::uint32_t* dep = trace.run_dep_end.data();
-  double* peak_power = trace.run_peak_power.data();
-
-  // V_j depends exactly on norm[j .. run_dep_end[j]]: the scan that
-  // produced it inspected those values and no others, and it is
-  // deterministic in them.  So V_j can only have moved when some changed
-  // position lands inside that window — walk j upward with a two-pointer
-  // over the ascending changed list and recompute exactly those
-  // amplitudes.  A recomputed V_j also refreshes its own window, keeping
-  // the invariant for the next snapshot.  Positions after the last
-  // changed index can never be affected (their windows start after it).
-  //
-  // A step budget bounds the degenerate regime: on a long monotone ramp
-  // every window reaches the ramp's end and the per-window walks turn
-  // O(n^2) — exactly what the one-pass scan exists to avoid.  Past the
-  // budget, rescan the whole lane in O(n), diffing against the pre-change
-  // values inline: indices this loop already repaired reproduce their
-  // repaired values bitwise and diff to nothing, indices past the last
-  // changed position are provably unchanged, so amp_changes picks up
-  // exactly the remaining movements.
-  const std::uint32_t last_changed = changed.back();
-  std::size_t next_changed = 0;
-  std::size_t walked = 0;
-  const std::size_t budget = 4 * count + 64;
-  for (std::uint32_t j = 0; j <= last_changed; ++j) {
-    while (changed[next_changed] < j) ++next_changed;
-    if (changed[next_changed] > dep[j]) continue;  // window unperturbed
-    if (walked > budget) {
-      scan_amplitudes<true>(trace, config, local_scratch(), &amp_changes);
-      return;
-    }
-    const double old_amp = amp[j];
-    detail::amplitude_at_reference(norm, count, j, config, amp, peak, dep,
-                                   peak_power);
-    walked += dep[j] - j;
-    if (amp[j] != old_amp) {
-      amp_changes.push_back({j, old_amp, amp[j]});
-    }
-  }
+  scan_amplitudes(trace, config, scratch);
 }
 
 void detect_manifestation_points(AnalyzedTrace& trace,
@@ -482,23 +407,6 @@ void detect_manifestation_points(AnalyzedTrace& trace,
   // statistics are multiset values).
   detect_with_quartiles(trace, config,
                         stats::quartiles_select(trace.variation_amplitude));
-}
-
-void detect_manifestation_points(AnalyzedTrace& trace,
-                                 const DetectionConfig& config,
-                                 std::vector<double>& sorted_scratch) {
-  if (clear_if_empty(trace, config)) {
-    sorted_scratch.clear();
-    return;
-  }
-  // The fully sorted copy costs O(n log n) but is part of this overload's
-  // contract: the caller may keep it as an order-statistic cache
-  // (core/fleet_analyzer.h) and maintain it by remove/insert afterwards.
-  sorted_scratch.resize(trace.variation_amplitude.size());
-  std::memcpy(sorted_scratch.data(), trace.variation_amplitude.data(),
-              trace.variation_amplitude.size() * sizeof(double));
-  std::sort(sorted_scratch.begin(), sorted_scratch.end());
-  detect_with_quartiles(trace, config, stats::quartiles_sorted(sorted_scratch));
 }
 
 void redetect_manifestation_points(AnalyzedTrace& trace,
@@ -517,12 +425,6 @@ void detect_trace(AnalyzedTrace& trace, const DetectionConfig& config,
                   DetectionScratch& scratch) {
   attribute_variation_amplitude(trace, config, scratch);
   detect_manifestation_points(trace, config);
-}
-
-void detect_trace(AnalyzedTrace& trace, const DetectionConfig& config,
-                  std::vector<double>& sorted_scratch) {
-  attribute_variation_amplitude(trace, config);
-  detect_manifestation_points(trace, config, sorted_scratch);
 }
 
 void detect_all(std::vector<AnalyzedTrace>& traces,

@@ -90,11 +90,11 @@ struct DetectionScratch {
   std::vector<DownStep> downs;
 };
 
-/// Fills the `variation_amplitude`, `run_peak_index`, `run_dep_end` and
-/// `run_peak_power` lanes (and the dense `begin_ms` timestamp lane) for
-/// every instance of `trace` in one O(n * (run_dip_tolerance + 1)) pass —
-/// O(n) for any fixed config; see the scan in detection.cpp and DESIGN.md
-/// §12.  Bitwise identical, lane for lane, to running
+/// Fills the `variation_amplitude`, `run_peak_index` and `run_peak_power`
+/// lanes (and the dense `begin_ms` timestamp lane) for every instance of
+/// `trace` in one O(n * (run_dip_tolerance + 1)) pass — O(n) for any
+/// fixed config; see the scan in detection.cpp and DESIGN.md §12.
+/// Bitwise identical, lane for lane, to running
 /// detail::amplitude_at_reference at every index.  Requires Step 3's
 /// `normalized_power` lane (throws AnalysisError otherwise).
 void attribute_variation_amplitude(AnalyzedTrace& trace,
@@ -104,33 +104,6 @@ void attribute_variation_amplitude(AnalyzedTrace& trace,
                                    const DetectionConfig& config,
                                    DetectionScratch& scratch);
 
-/// One amplitude whose value moved during an incremental repair: the
-/// before/after pair an order-statistic quartile cache needs to stay in
-/// sync by remove/insert (core/fleet_analyzer.h).
-struct AmplitudeChange {
-  std::uint32_t index{0};
-  double old_amplitude{0.0};
-  double new_amplitude{0.0};
-};
-
-/// Incremental Step 4 (core/fleet_analyzer.h): repairs the amplitude
-/// lanes after the normalized powers at `changed` (ascending, deduplicated
-/// instance positions) were rewritten in place.  V_j depends only on the
-/// normalized powers in [j, run_dep_end[j]], so only amplitudes whose run
-/// window contains a changed position are recomputed — bit-identical to a
-/// full attribute_variation_amplitude() pass, at O(windows) cost.  A step
-/// budget guards the degenerate regime (long monotone ramps, where every
-/// window reaches the ramp's end and O(windows) turns quadratic): past
-/// ~4n walked steps the repair falls back to the one-pass O(n) rescan,
-/// diffing against the pre-change values inline.
-/// Appends one record per amplitude whose value moved to `amp_changes`
-/// (not cleared).  Lanes must hold the pre-change state produced by a
-/// prior full pass or repair.
-void repair_variation_amplitudes(AnalyzedTrace& trace,
-                                 std::span<const std::uint32_t> changed,
-                                 const DetectionConfig& config,
-                                 std::vector<AmplitudeChange>& amp_changes);
-
 /// Runs outlier detection on the amplitudes, filling
 /// `manifestation_indices`, `amplitude_quartiles` and `outlier_fence`.
 /// Requires attribute_variation_amplitude() to have run.  The quartiles
@@ -139,38 +112,24 @@ void repair_variation_amplitudes(AnalyzedTrace& trace,
 /// sorted path, because order statistics are multiset values.
 void detect_manifestation_points(AnalyzedTrace& trace,
                                  const DetectionConfig& config = {});
-/// Same, but fully sorts the amplitudes into `sorted_scratch` — for a
-/// caller that keeps the sorted copy as a live order-statistic quartile
-/// cache and maintains it by remove/insert afterwards
-/// (core/fleet_analyzer.h, tests).  On return `sorted_scratch` holds the
-/// amplitude multiset ascending.
-void detect_manifestation_points(AnalyzedTrace& trace,
-                                 const DetectionConfig& config,
-                                 std::vector<double>& sorted_scratch);
 
 /// Incremental Step 4, decision phase: quartiles, fence and the outlier
-/// scan from an already-sorted amplitude multiset (the caller maintained
-/// it by remove/insert after repair_variation_amplitudes).  Because the
-/// ascending order of a multiset is unique, the quartiles — and therefore
-/// the fence and the detected points — are bitwise identical to the full
-/// sort-and-detect path.
+/// scan from an already-sorted amplitude multiset (the fleet engine keeps
+/// one per trace; core/fleet_analyzer.h).  Because the ascending order of
+/// a multiset is unique, the quartiles — and therefore the fence and the
+/// detected points — are bitwise identical to the full detect path.
 void redetect_manifestation_points(AnalyzedTrace& trace,
                                    const DetectionConfig& config,
                                    std::span<const double> sorted_amplitudes);
 
 /// Both phases for one trace — the per-trace unit of work detect_all
-/// shards, and the incremental entry point (core/fleet_analyzer.h): a
-/// trace's detection depends only on its own normalized powers, so a
-/// fleet engine re-detects exactly the traces whose normalization
-/// changed.
+/// shards.  A trace's detection depends only on its own normalized
+/// powers, so a fleet engine re-detects exactly the traces whose
+/// normalization changed.
 void detect_trace(AnalyzedTrace& trace, const DetectionConfig& config = {});
-/// Same, with caller-owned scratch (see detect_manifestation_points).
+/// Same, with caller-owned scratch (see attribute_variation_amplitude).
 void detect_trace(AnalyzedTrace& trace, const DetectionConfig& config,
                   DetectionScratch& scratch);
-/// Same, with a caller-owned sort buffer that ends up holding the sorted
-/// amplitude multiset (see detect_manifestation_points).
-void detect_trace(AnalyzedTrace& trace, const DetectionConfig& config,
-                  std::vector<double>& sorted_scratch);
 
 /// Convenience: both phases over a whole collection.  Detection is
 /// per-trace, so with a pool the traces run in parallel (one task per
@@ -182,18 +141,17 @@ void detect_all(std::vector<AnalyzedTrace>& traces,
 namespace detail {
 
 /// The original per-index forward walk over the dip-tolerance bridging
-/// rules: recomputes instance `i`'s amplitude/peak/dep/peak-power from
-/// the normalized lane in O(run window).  This is the *semantic
-/// definition* of the four lanes: the one-pass shared-run scan behind
+/// rules: recomputes instance `i`'s amplitude/peak/peak-power from the
+/// normalized lane in O(run window).  This is the *semantic definition*
+/// of the three lanes: the one-pass shared-run scan behind
 /// attribute_variation_amplitude must (and does) reproduce it bit for
 /// bit, which the randomized property suite
 /// (tests/core/amplitude_scan_property_test.cpp) pins at every index.
-/// Production uses it only for the incremental repair's windowed
-/// recomputation, where a handful of short windows beats a full rescan.
+/// Only tests call it; production always runs the one-pass scan.
 void amplitude_at_reference(const double* norm, std::size_t count,
                             std::size_t i, const DetectionConfig& config,
                             double* amp, std::uint32_t* peak,
-                            std::uint32_t* dep, double* peak_power);
+                            double* peak_power);
 
 }  // namespace detail
 

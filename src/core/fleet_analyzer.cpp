@@ -31,9 +31,9 @@ void FleetAnalyzer::TraceCache::rebuild_index(
   const std::size_t count = trace.events.size();
   // (id, position) packed into one word: an in-place introsort of the
   // packed keys is stable in effect (the position breaks ties), keeping
-  // each event's instances ascending within its group — what
-  // renormalize_instances/repair expect — without std::stable_sort's
-  // per-call temporary buffer.  The caller-owned key arena is reused
+  // each event's instances ascending within its group — the trace order
+  // a re-upload splices in — without std::stable_sort's per-call
+  // temporary buffer.  The caller-owned key arena is reused
   // across arrivals, so indexing a long trace allocates nothing once
   // warm.
   key_scratch.resize(count);
@@ -72,15 +72,6 @@ void FleetAnalyzer::TraceCache::rebuild_amplitude_cache(
   for (std::size_t p = 0; p < count; ++p) {
     sorted_amplitudes[p] = amp[sorted_order[p]];
   }
-}
-
-std::span<const std::uint32_t> FleetAnalyzer::TraceCache::positions_of(
-    EventId id) const {
-  const auto it = std::lower_bound(
-      groups.begin(), groups.end(), id,
-      [](const Group& group, EventId key) { return group.id < key; });
-  if (it == groups.end() || it->id != id) return {};
-  return {positions.data() + it->begin, it->count};
 }
 
 void FleetAnalyzer::sync_id_bound() {
@@ -150,7 +141,6 @@ void FleetAnalyzer::apply_arrival(AnalyzedTrace analyzed) {
   result_.traces.push_back(std::move(analyzed));
   cache_.push_back(std::move(cache));
   trace_dirty_.push_back(1);
-  slot_moved_events_.emplace_back();
 }
 
 void FleetAnalyzer::replace_trace(std::size_t slot, AnalyzedTrace analyzed) {
@@ -206,24 +196,9 @@ void FleetAnalyzer::replace_trace(std::size_t slot, AnalyzedTrace analyzed) {
   trace_dirty_[slot] = 1;
 }
 
-void FleetAnalyzer::full_refresh(std::size_t slot) {
-  // Cold path (new or replaced trace): full SoA kernels, and one argsort
-  // seeds the slot's order-statistic amplitude cache — values *and*
-  // permutation — for later delta snapshots.  The Step-4 scratch is
-  // per-thread and reused across slots and snapshots, so long-trace
-  // refreshes stop churning the allocator.
-  thread_local DetectionScratch det_scratch;
-  AnalyzedTrace& trace = result_.traces[slot];
-  normalize_trace(trace, bases_);
-  attribute_variation_amplitude(trace, config_.detection, det_scratch);
-  cache_[slot].rebuild_amplitude_cache(trace);
-  redetect_manifestation_points(trace, config_.detection,
-                                cache_[slot].sorted_amplitudes);
-}
-
 void FleetAnalyzer::TraceCache::repair_sorted(const AnalyzedTrace& trace) {
-  // Order-statistic quartile maintenance.  Gather the repaired lane
-  // through the previous snapshot's permutation: repaired values land
+  // Order-statistic quartile maintenance.  Gather the refreshed lane
+  // through the previous snapshot's permutation: rebased values land
   // near their old rank, so the gathered array is already almost
   // ascending and one adaptive insertion pass — remove each displaced
   // value, re-insert it at its ordered slot — restores order in
@@ -232,8 +207,8 @@ void FleetAnalyzer::TraceCache::repair_sorted(const AnalyzedTrace& trace) {
   // BENCH_pipeline.json).  Ascending order of a multiset is unique, so
   // the result is bitwise equal to a fresh sort of the lane, and Q1/Q3
   // and the fence stay bitwise identical to the batch sort-and-detect
-  // path.  A move budget bounds the pathological case (repair reshuffled
-  // most ranks): past it, fall back to one argsort.
+  // path.  A move budget bounds the pathological case (the new bases
+  // reshuffled most ranks): past it, fall back to one argsort.
   const double* amp = trace.variation_amplitude.data();
   const std::size_t count = sorted_amplitudes.size();
   double* sorted = sorted_amplitudes.data();
@@ -261,83 +236,27 @@ void FleetAnalyzer::TraceCache::repair_sorted(const AnalyzedTrace& trace) {
   }
 }
 
-void FleetAnalyzer::delta_refresh(std::size_t slot) {
+void FleetAnalyzer::refresh_slot(std::size_t slot, bool replaced) {
+  // Both kernels recompute every position from the trace's raw powers and
+  // the base table, so the lanes equal a batch pass bit for bit whether
+  // the trace is new or only its bases moved.  The Step-4 scratch is
+  // per-thread and reused across slots and snapshots, so long-trace
+  // refreshes stop churning the allocator.
   thread_local DetectionScratch det_scratch;
   AnalyzedTrace& trace = result_.traces[slot];
   TraceCache& cache = cache_[slot];
-  std::vector<EventId>& moved = slot_moved_events_[slot];
-
-  // Density cutover: when the moved bases cover a sizable share of the
-  // trace's instances, the scattered machinery below (indirect
-  // renormalization, changed-set merge, windowed repair) costs more than
-  // the two linear kernels it exists to avoid — so re-run Steps 3+4
-  // outright and keep only the permutation-maintained quartiles.  Both
-  // kernels recompute every position from the same inputs with the same
-  // expressions, so unchanged positions reproduce their old values
-  // bitwise and the lanes match the scatter path exactly.
-  std::size_t touched = 0;
-  for (EventId id : moved) touched += cache.positions_of(id).size();
-  if (touched * 4 >= trace.events.size()) {
-    moved.clear();
-    normalize_trace(trace, bases_);
-    attribute_variation_amplitude(trace, config_.detection, det_scratch);
+  normalize_trace(trace, bases_);
+  attribute_variation_amplitude(trace, config_.detection, det_scratch);
+  if (replaced) {
+    cache.rebuild_amplitude_cache(trace);
+  } else {
     cache.repair_sorted(trace);
-    redetect_manifestation_points(trace, config_.detection,
-                                  cache.sorted_amplitudes);
-    return;
   }
-
-  // Scatter renormalization: rewrite only the moved-base events'
-  // instances; everything else in the trace keeps its (still-valid)
-  // normalized power.  `changed` collects the instance positions whose
-  // value actually moved.
-  thread_local std::vector<std::uint32_t> changed;
-  thread_local std::vector<AmplitudeChange> amp_changes;
-  changed.clear();
-  amp_changes.clear();
-  const bool multiple_events = moved.size() > 1;
-  for (EventId id : moved) {
-    renormalize_instances(trace, cache.positions_of(id), bases_[id], changed);
-  }
-  moved.clear();
-  if (changed.empty()) return;  // every quotient landed on the same double
-  // Each event's positions arrive ascending; a multi-event scatter needs
-  // one merge into global instance order for the repair's two-pointer.
-  // When most of the trace moved (the dense regime), a counting pass over
-  // the instance range is far cheaper than a comparison sort.
-  if (multiple_events) {
-    if (changed.size() * 8 >= trace.events.size()) {
-      thread_local std::vector<std::uint8_t> flags;
-      thread_local std::vector<std::uint32_t> merged;
-      flags.assign(trace.events.size(), 0);
-      for (std::uint32_t position : changed) flags[position] = 1;
-      merged.clear();
-      for (std::uint32_t i = 0; i < trace.events.size(); ++i) {
-        if (flags[i] != 0) merged.push_back(i);
-      }
-      changed.swap(merged);
-    } else {
-      std::sort(changed.begin(), changed.end());
-    }
-  }
-
-  // Local amplitude repair: only run windows containing a changed
-  // instance are recomputed; each repaired amplitude reports its
-  // before/after pair for the quartile cache.
-  repair_variation_amplitudes(trace, changed, config_.detection, amp_changes);
-
-  // Quartile maintenance only when some amplitude actually moved; the
-  // cache stays valid otherwise.
-  if (!amp_changes.empty()) cache.repair_sorted(trace);
-
-  // Decision phase always re-runs when any normalized power moved: the
-  // peak-level and sustain guards read normalized values directly, so
-  // points can flip even when every amplitude kept its value.
   redetect_manifestation_points(trace, config_.detection,
                                 cache.sorted_amplitudes);
 }
 
-const AnalysisResult& FleetAnalyzer::snapshot() {
+void FleetAnalyzer::refresh() {
   if (result_.traces.empty()) {
     throw AnalysisError("FleetAnalyzer::snapshot: no traces collected");
   }
@@ -357,44 +276,40 @@ const AnalysisResult& FleetAnalyzer::snapshot() {
   }
   dirty_events_.clear();
 
-  // Work-list: cold slots (new or replaced traces) re-run the full
-  // kernels; clean slots containing a moved-base event take the delta
-  // path, each carrying its own list of moved events.
-  delta_slots_.clear();
+  // Work-list: the new or replaced slots, then each clean slot holding a
+  // moved-base event, once (trace_dirty_ marks the slots already listed).
+  refresh_slots_.clear();
+  for (std::size_t s = 0; s < trace_dirty_.size(); ++s) {
+    if (trace_dirty_[s] != 0) {
+      refresh_slots_.push_back(static_cast<std::uint32_t>(s));
+    }
+  }
+  const std::size_t replaced = refresh_slots_.size();
   for (EventId id : moved_events_) {
     for (const SlotCount& holder : traces_with_event_[id]) {
       if (trace_dirty_[holder.slot] != 0) continue;
-      std::vector<EventId>& moved = slot_moved_events_[holder.slot];
-      if (moved.empty()) delta_slots_.push_back(holder.slot);
-      moved.push_back(id);
-    }
-  }
-  cold_slots_.clear();
-  for (std::size_t s = 0; s < trace_dirty_.size(); ++s) {
-    if (trace_dirty_[s] != 0) {
-      cold_slots_.push_back(static_cast<std::uint32_t>(s));
-      trace_dirty_[s] = 0;
+      trace_dirty_[holder.slot] = 1;
+      refresh_slots_.push_back(holder.slot);
     }
   }
 
-  // Steps 3+4 on the perturbed slice only.  Each task owns one trace slot
+  // Steps 3+4 on the perturbed traces only.  Each task owns one trace slot
   // and reads the shared base table, so the parallel path is identical to
   // the sequential one for any pool size (same argument as detect_all).
-  const std::size_t cold_count = cold_slots_.size();
-  const std::size_t total = cold_count + delta_slots_.size();
-  const auto refresh = [this, cold_count](std::size_t i) {
-    if (i < cold_count) {
-      full_refresh(cold_slots_[i]);
-    } else {
-      delta_refresh(delta_slots_[i - cold_count]);
-    }
+  const std::size_t total = refresh_slots_.size();
+  const auto refresh_one = [this, replaced](std::size_t i) {
+    refresh_slot(refresh_slots_[i], i < replaced);
   };
   if (pool_ == nullptr || pool_->size() <= 1 || total <= 1) {
-    for (std::size_t i = 0; i < total; ++i) refresh(i);
+    for (std::size_t i = 0; i < total; ++i) refresh_one(i);
   } else {
-    pool_->parallel_for(0, total, refresh);
+    pool_->parallel_for(0, total, refresh_one);
   }
+  for (std::uint32_t slot : refresh_slots_) trace_dirty_[slot] = 0;
+}
 
+const AnalysisResult& FleetAnalyzer::snapshot() {
+  refresh();
   // Step 5 is O(manifestations), cheap enough to rebuild outright.
   result_.report =
       report_problematic_events(result_.traces, config_.reporting);
@@ -403,30 +318,21 @@ const AnalysisResult& FleetAnalyzer::snapshot() {
 
 std::shared_ptr<const FleetAnalyzer::SnapshotImage> FleetAnalyzer::publish(
     bool self_estimate_fraction) {
-  const AnalysisResult& result = snapshot();
+  refresh();
+  // Steps 1-4 do not depend on the reported fraction, so the refreshed
+  // traces feed the self-estimate and the one Step-5 pass alike — the
+  // batch two-pass result, byte for byte.
+  ReportingConfig reporting = config_.reporting;
+  if (self_estimate_fraction) {
+    reporting.developer_reported_fraction =
+        self_estimated_fraction(result_.traces);
+  }
   auto image = std::make_shared<SnapshotImage>();
   image->arrivals = arrivals_;
-  image->fleet_size = result.traces.size();
-  image->traces_with_manifestation = result.report.traces_with_manifestation;
-  if (self_estimate_fraction) {
-    // The CLI's two-pass rule (workload/cli.cpp render_fleet_report):
-    // estimate the impacted-user fraction from the detection pass, then
-    // rebuild the cheap Step-5 report around it.  Detection (Steps 1-4)
-    // does not depend on the fraction, so one snapshot feeds both
-    // passes and the result matches the batch two-pass byte for byte.
-    const double fraction =
-        result.report.total_traces == 0
-            ? 0.0
-            : static_cast<double>(result.report.traces_with_manifestation) /
-                  static_cast<double>(result.report.total_traces);
-    ReportingConfig reporting = config_.reporting;
-    reporting.developer_reported_fraction = fraction;
-    image->reported_fraction = fraction;
-    image->report = report_problematic_events(result.traces, reporting);
-  } else {
-    image->reported_fraction = config_.reporting.developer_reported_fraction;
-    image->report = result.report;
-  }
+  image->fleet_size = result_.traces.size();
+  image->reported_fraction = reporting.developer_reported_fraction;
+  image->report = report_problematic_events(result_.traces, reporting);
+  image->traces_with_manifestation = image->report.traces_with_manifestation;
   return image;
 }
 

@@ -5,8 +5,7 @@
 // WiFi") and the server re-diagnoses the growing fleet after each
 // arrival.  Re-running the batch ManifestationAnalyzer per arrival costs
 // a full O(fleet) pass over Steps 1-5 every time; this engine makes an
-// arrival cost O(arriving trace) plus O(Δ) — the slice of Steps 2-5 the
-// arrival actually perturbed:
+// arrival cost O(arriving trace) plus the traces the arrival perturbed:
 //
 //   add_bundle   runs Step 1 (the power-join, the expensive per-trace
 //                work) for the arriving bundle only and appends its
@@ -18,15 +17,15 @@
 //                the splice offset, so the cost is the touched
 //                distributions, never a walk over the fleet;
 //   snapshot     re-runs Steps 2-5 incrementally — recomputes base
-//                powers for dirty events only, then repairs the traces a
-//                moved base touched at sub-trace granularity: scatter
-//                renormalization rewrites only the moved events'
-//                instances, amplitude repair recomputes only the monotone
-//                run windows those instances perturb, and each trace's
-//                amplitude quartiles are maintained in an ordered
-//                multiset by remove/insert instead of a per-snapshot
-//                re-sort.  New and replaced traces take the cold
-//                (full-kernel) path.  See DESIGN.md §11.
+//                powers for dirty events only, then refreshes every slot
+//                that needs it one way: the linear Step-3/4 kernels
+//                (normalize_trace, attribute_variation_amplitude) and a
+//                re-detect from the slot's ascending amplitude cache.
+//                The slots are the new and replaced traces plus the
+//                clean traces holding an event whose base moved.  The
+//                cache is one argsort for a new or replaced trace and an
+//                adaptive re-sort through the previous permutation for a
+//                rebased one.  See DESIGN.md §11.
 //
 // Equivalence contract: after any sequence of add_bundle() calls,
 // snapshot() is byte-identical — rendered text and JSON reports and every
@@ -83,11 +82,12 @@ class FleetAnalyzer {
   /// cost.
   void add_analyzed(AnalyzedTrace analyzed);
 
-  /// Re-runs Steps 2-5 on the perturbed slice and returns the full
-  /// result — byte-identical to a batch ManifestationAnalyzer::run over
-  /// the current fleet (see the contract above).  The reference stays
-  /// valid until the next add_bundle/add_bundles call.  Throws
-  /// AnalysisError when the fleet is empty.
+  /// Re-runs Steps 2-4 on the perturbed traces, rebuilds Step 5 and
+  /// returns the full result — byte-identical to a batch
+  /// ManifestationAnalyzer::run over the current fleet (see the contract
+  /// above).  The reference stays valid until the next
+  /// add_bundle/add_bundles call.  Throws AnalysisError when the fleet is
+  /// empty.
   const AnalysisResult& snapshot();
 
   /// Arrivals applied so far (add_bundle/add_bundles/add_analyzed calls,
@@ -114,52 +114,54 @@ class FleetAnalyzer {
     DiagnosisReport report;
   };
 
-  /// Runs snapshot() and freezes the result into an immutable
-  /// SnapshotImage.  With `self_estimate_fraction`, applies the CLI's
-  /// two-pass rule: re-derive the reported fraction as
-  /// traces_with_manifestation / total_traces and rebuild the (cheap)
-  /// Step-5 report around it — byte-identical to the batch two-pass
-  /// path over the same uploads.  Throws AnalysisError when the fleet
-  /// is empty.
+  /// Re-runs Steps 2-4 as snapshot() does, then builds the Step-5 report
+  /// once, into an immutable SnapshotImage.  With
+  /// `self_estimate_fraction`, the reported fraction is
+  /// self_estimated_fraction() of the refreshed traces (core/reporting.h)
+  /// — the CLI's self-estimate rule, byte-identical to the batch two-pass
+  /// path over the same uploads; otherwise it is the configured one.
+  /// Throws AnalysisError when the fleet is empty.
   [[nodiscard]] std::shared_ptr<const SnapshotImage> publish(
       bool self_estimate_fraction);
 
  private:
-  /// Per-slot delta-repair state, index-aligned with result_.traces.
+  /// Per-slot refresh state, index-aligned with result_.traces.
   struct TraceCache {
     /// One contiguous run of `positions` holding every instance of one
-    /// event, ascending; groups sorted by event id for binary lookup.
+    /// event, ascending; groups sorted by event id.
     struct Group {
       EventId id{kInvalidEventId};
       std::uint32_t begin{0};
       std::uint32_t count{0};
     };
     /// Instance positions of the slot's trace, grouped by event.  Rebuilt
-    /// whenever the slot's trace changes (new upload or replacement);
-    /// lets the scatter step find exactly the instances of a moved-base
-    /// event without walking the trace.
+    /// whenever the slot's trace changes (new upload or replacement); the
+    /// groups list the trace's distinct events with their instance
+    /// counts, and a re-upload's splice reads each event's incoming
+    /// powers through them.
     std::vector<Group> groups;
     std::vector<std::uint32_t> positions;
     /// The trace's variation amplitudes in ascending order — the
     /// order-statistic multiset backing Q1/Q3/fence — plus the
     /// permutation behind it (sorted_order[p] = instance whose amplitude
-    /// occupies rank p).  Seeded by the cold path's one argsort;
-    /// maintained on the delta path by gathering the repaired lane
-    /// through the stale permutation (already almost ascending) and
-    /// re-inserting each displaced value at its ordered slot — an
-    /// adaptive O(n + inversions) pass, with a full argsort fallback
-    /// under a move budget so a pathological repair never exceeds sort
-    /// cost.  The ascending order of a multiset is unique, so the array
-    /// stays bitwise equal to a fresh sort of the lane (no NaNs and no
-    /// -0.0 can appear; see DESIGN.md §11).  Valid after the slot's
-    /// first snapshot.
+    /// occupies rank p).  Seeded by one argsort when the slot's trace is
+    /// new or replaced; when only its bases moved, re-sorted by
+    /// gathering the refreshed lane through the stale permutation
+    /// (already almost ascending) and re-inserting each displaced value
+    /// at its ordered slot — an adaptive O(n + inversions) pass, with a
+    /// full argsort fallback under a move budget so a pathological
+    /// reshuffle never exceeds sort cost.  The ascending order of a
+    /// multiset is unique, so the array stays bitwise equal to a fresh
+    /// sort of the lane (no NaNs and no -0.0 can appear; see DESIGN.md
+    /// §11).  Valid after the slot's first snapshot.
     std::vector<double> sorted_amplitudes;
     std::vector<std::uint32_t> sorted_order;
 
     /// Rebuilds sorted_order/sorted_amplitudes from the amplitude lane
-    /// with one argsort (cold path, and the delta path's fallback).
+    /// with one argsort (new or replaced trace, and repair_sorted's
+    /// fallback).
     void rebuild_amplitude_cache(const AnalyzedTrace& trace);
-    /// Re-synchronizes the order-statistic cache with the (repaired)
+    /// Re-synchronizes the order-statistic cache with the refreshed
     /// amplitude lane: gather through the stale permutation, then the
     /// budgeted adaptive insertion pass described above.
     void repair_sorted(const AnalyzedTrace& trace);
@@ -169,8 +171,6 @@ class FleetAnalyzer {
     /// no per-call allocation once the arena is warm.
     void rebuild_index(const AnalyzedTrace& trace,
                        std::vector<std::uint64_t>& key_scratch);
-    [[nodiscard]] std::span<const std::uint32_t> positions_of(
-        EventId id) const;
   };
 
   /// Commits one Step-1 result into the fleet state (append or replace).
@@ -182,11 +182,14 @@ class FleetAnalyzer {
   void mark_event_dirty(EventId id);
   /// Grows every id-indexed side table to the symbol table's current size.
   void sync_id_bound();
-  /// Cold path: full renormalize + detect for a new/replaced slot.
-  void full_refresh(std::size_t slot);
-  /// Delta path: scatter renorm + run-window amplitude repair + ordered
-  /// quartile maintenance for a clean slot with moved-base events.
-  void delta_refresh(std::size_t slot);
+  /// Steps 2-4 on the perturbed traces: re-derives the dirty events'
+  /// bases and refreshes every slot that is new, replaced or holds a
+  /// moved-base event.  Throws AnalysisError when the fleet is empty.
+  void refresh();
+  /// Steps 3-4 for one slot: renormalize, attribute amplitudes, bring the
+  /// amplitude cache up to date (an argsort when `replaced`, the
+  /// adaptive re-sort otherwise) and re-detect.
+  void refresh_slot(std::size_t slot, bool replaced);
 
   AnalysisConfig config_;
   std::optional<common::ThreadPool> pool_storage_;
@@ -206,8 +209,8 @@ class FleetAnalyzer {
   /// dense flag vector plus the list of set flags.
   std::vector<std::uint8_t> event_dirty_;
   std::vector<EventId> dirty_events_;
-  /// Fleet slots that must take the cold path at the next snapshot (new
-  /// or replaced arrivals).
+  /// Fleet slots whose trace is new or replaced since the last snapshot;
+  /// during a refresh, also the clean slots already on its work-list.
   std::vector<std::uint8_t> trace_dirty_;
   /// One fleet slot holding an event, with its number of instances of it.
   struct SlotCount {
@@ -231,12 +234,9 @@ class FleetAnalyzer {
   // Snapshot scratch, reused across snapshots.
   /// Events whose base moved bitwise this snapshot.
   std::vector<EventId> moved_events_;
-  /// Per-slot list of moved-base events present in that slot (delta
-  /// work-list payload); always left empty between snapshots.
-  std::vector<std::vector<EventId>> slot_moved_events_;
-  /// Slots taking the delta path / the cold path this snapshot.
-  std::vector<std::uint32_t> delta_slots_;
-  std::vector<std::uint32_t> cold_slots_;
+  /// The slots to refresh this snapshot: the new or replaced ones first,
+  /// then the rebased ones.
+  std::vector<std::uint32_t> refresh_slots_;
 };
 
 }  // namespace edx::core

@@ -73,25 +73,6 @@ void normalize_trace(AnalyzedTrace& trace, std::span<const double> bases) {
   }
 }
 
-void renormalize_instances(AnalyzedTrace& trace,
-                           std::span<const std::uint32_t> positions,
-                           double base,
-                           std::vector<std::uint32_t>& changed) {
-  require(base > 0.0, "renormalize_instances: base must be positive");
-  require(trace.normalized_power.size() == trace.events.size(),
-          "renormalize_instances: normalized_power lane not filled");
-  double* norm = trace.normalized_power.data();
-  for (std::uint32_t position : positions) {
-    // Same expression as normalize_trace — one IEEE division — so the
-    // scattered value is bit-identical to a full renormalization.
-    const double value = trace.events[position].raw_power / base;
-    if (value != norm[position]) {
-      norm[position] = value;
-      changed.push_back(position);
-    }
-  }
-}
-
 void normalize_events(std::vector<AnalyzedTrace>& traces,
                       const EventRanking& ranking,
                       const NormalizationConfig& config,

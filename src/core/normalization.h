@@ -10,7 +10,6 @@
 // from the tracker.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -68,18 +67,6 @@ double base_power_of(const EventPowerDistribution& distribution,
 /// in one fused gather-divide pass.  Throws AnalysisError on an instance
 /// whose event has no base (slot missing or 0.0).
 void normalize_trace(AnalyzedTrace& trace, std::span<const double> bases);
-/// Scatter renormalization (core/fleet_analyzer.h): rewrites the
-/// normalized powers at `positions` — one event's instances within the
-/// trace — against that event's new `base`, leaving every other instance
-/// untouched.  The written values are bit-identical to what a full
-/// normalize_trace() against the same base table would produce.  Appends
-/// the positions whose value actually moved to `changed` (not cleared);
-/// an unchanged division (base moved but the quotient rounds to the same
-/// double) is skipped, so downstream repair work is keyed on real value
-/// movement, not on base-table churn.
-void renormalize_instances(AnalyzedTrace& trace,
-                           std::span<const std::uint32_t> positions,
-                           double base, std::vector<std::uint32_t>& changed);
 
 /// Base power used for the event with id `id` under `config`.
 double base_power(const EventRanking& ranking, EventId id,

@@ -99,4 +99,14 @@ DiagnosisReport report_problematic_events(
   return report;
 }
 
+double self_estimated_fraction(std::span<const AnalyzedTrace> traces) {
+  if (traces.empty()) return 0.0;
+  const auto with_points = std::count_if(
+      traces.begin(), traces.end(), [](const AnalyzedTrace& trace) {
+        return !trace.manifestation_indices.empty();
+      });
+  return static_cast<double>(with_points) /
+         static_cast<double>(traces.size());
+}
+
 }  // namespace edx::core

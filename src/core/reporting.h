@@ -61,4 +61,10 @@ struct DiagnosisReport {
 DiagnosisReport report_problematic_events(
     std::span<const AnalyzedTrace> traces, const ReportingConfig& config = {});
 
+/// The impacted-user fraction estimated from detection alone: the share of
+/// `traces` with at least one manifestation point (0 when empty).  Steps
+/// 1-4 do not depend on the reported fraction, so a caller without one
+/// runs them once, then builds the Step-5 report around this estimate.
+double self_estimated_fraction(std::span<const AnalyzedTrace> traces);
+
 }  // namespace edx::core

@@ -268,15 +268,6 @@ void render_report(const core::DiagnosisReport& report,
                           : core::report_to_text(report, map, render));
 }
 
-double self_estimated_fraction(const core::DiagnosisReport& report) {
-  // Self-estimate: the share of traces in which a manifestation was
-  // detected approximates the impacted-user fraction.
-  return report.total_traces == 0
-             ? 0.0
-             : static_cast<double>(report.traces_with_manifestation) /
-                   static_cast<double>(report.total_traces);
-}
-
 /// The analysis config an analyze invocation starts from.
 core::AnalysisConfig analysis_config(const AnalyzeOptions& options) {
   core::AnalysisConfig config;
@@ -289,39 +280,32 @@ core::AnalysisConfig analysis_config(const AnalyzeOptions& options) {
 
 int analyze_batch_bundles(std::span<const trace::TraceBundle> bundles,
                           const AnalyzeOptions& options, std::ostream& out) {
-  core::AnalysisConfig config = analysis_config(options);
-  if (!options.reported_fraction.has_value()) {
-    const core::ManifestationAnalyzer probe(config);
-    const core::AnalysisResult first_pass = probe.run(bundles);
-    config.reporting.developer_reported_fraction =
-        self_estimated_fraction(first_pass.report);
-  }
-
+  const core::AnalysisConfig config = analysis_config(options);
   const core::ManifestationAnalyzer analyzer(config);
   const core::AnalysisResult result = analyzer.run(bundles);
-  render_report(result.report, options,
-                config.reporting.developer_reported_fraction, out);
+  if (options.reported_fraction.has_value()) {
+    render_report(result.report, options,
+                  config.reporting.developer_reported_fraction, out);
+    return 0;
+  }
+  // Self-estimate: Steps 1-4 do not depend on the reported fraction, so
+  // only the Step-5 report is rebuilt around the estimate.
+  core::ReportingConfig reporting = config.reporting;
+  reporting.developer_reported_fraction =
+      core::self_estimated_fraction(result.traces);
+  render_report(core::report_problematic_events(result.traces, reporting),
+                options, reporting.developer_reported_fraction, out);
   return 0;
 }
 
 /// One fleet report from the analyzer's current state — the shared tail
 /// of every incremental path (periodic, final, and store-recovered).
-/// Applies the same two-pass fraction rule as the batch path: when no
-/// fraction was given, rebuild the (cheap) Step-5 report around the
-/// self-estimate.
+/// Applies the same fraction rule as the batch path: without a given
+/// fraction, the report is built around the self-estimate.
 void render_fleet_report(core::FleetAnalyzer& fleet,
-                         const core::AnalysisConfig& config,
                          const AnalyzeOptions& options, std::ostream& out) {
-  const core::AnalysisResult& result = fleet.snapshot();
-  double fraction = config.reporting.developer_reported_fraction;
-  core::DiagnosisReport report = result.report;
-  if (!options.reported_fraction.has_value()) {
-    fraction = self_estimated_fraction(result.report);
-    core::ReportingConfig reporting = config.reporting;
-    reporting.developer_reported_fraction = fraction;
-    report = core::report_problematic_events(result.traces, reporting);
-  }
-  render_report(report, options, fraction, out);
+  const auto image = fleet.publish(!options.reported_fraction.has_value());
+  render_report(image->report, options, image->reported_fraction, out);
 }
 
 int analyze_batch(const std::vector<std::string>& paths,
@@ -336,8 +320,7 @@ int analyze_batch(const std::vector<std::string>& paths,
 
 int analyze_incremental(const std::vector<std::string>& paths,
                         const AnalyzeOptions& options, std::ostream& out) {
-  const core::AnalysisConfig config = analysis_config(options);
-  core::FleetAnalyzer fleet(config);
+  core::FleetAnalyzer fleet(analysis_config(options));
   for (std::size_t i = 0; i < paths.size(); ++i) {
     fleet.add_bundle(trace::TraceBundle::from_text(read_file(paths[i])));
     const std::size_t arrivals = i + 1;
@@ -349,7 +332,7 @@ int analyze_incremental(const std::vector<std::string>& paths,
       out << "== fleet report after " << arrivals << " of " << paths.size()
           << " bundles ==\n";
     }
-    render_fleet_report(fleet, config, options, out);
+    render_fleet_report(fleet, options, out);
   }
   return 0;
 }
@@ -404,15 +387,14 @@ int analyze_store(const std::string& root, const AnalyzeOptions& options,
   // the same uploads, and (by the FleetAnalyzer equivalence contract) to
   // a batch run over fleet_refs(), so --incremental and the default
   // share this one path and byte-identical output.
-  const core::AnalysisConfig config = analysis_config(options);
-  core::FleetAnalyzer fleet(config);
+  core::FleetAnalyzer fleet(analysis_config(options));
   for (core::AnalyzedTrace& analyzed : recovered.snapshot_step1(*id)) {
     fleet.add_analyzed(std::move(analyzed));
   }
   for (const store::BundleRef& bundle : recovered.tail_refs(*id)) {
     fleet.add_bundle(*bundle);
   }
-  render_fleet_report(fleet, config, options, out);
+  render_fleet_report(fleet, options, out);
   return 0;
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -224,6 +225,85 @@ TEST(FleetAnalyzerTest, AddBundlesBatchIngestionMatchesPerArrival) {
     fleet.add_bundles(bundles);
     expect_identical(batch_run(bundles, num_threads), fleet.snapshot(),
                      "threads=" + std::to_string(num_threads));
+  }
+}
+
+std::string render_report(const DiagnosisReport& report, double fraction) {
+  ReportRenderOptions options;
+  options.developer_reported_fraction = fraction;
+  return report_to_text(report, /*code_map=*/nullptr, options) +
+         report_to_json(report, /*code_map=*/nullptr, options);
+}
+
+TEST(FleetAnalyzerTest, PublishMatchesBatchOneAndTwoPassAtEveryPrefix) {
+  // publish(false) must equal one batch run with the configured fraction;
+  // publish(true) the CLI's batch two-pass rule: a first run estimates
+  // the fraction as traces_with_manifestation / total_traces, a second
+  // full run reports around it.
+  const trace::TraceBundle arrivals[] = {
+      make_trace(0, false),               make_trace(1, true),
+      make_trace(2, false),               make_trace(0, true, /*variant=*/1),
+      make_trace(3, false),               make_trace(4, true),
+      make_trace(1, false, /*variant=*/2), make_trace(5, false),
+      make_trace(3, true, /*variant=*/3),  make_trace(6, false),
+      make_trace(0, false, /*variant=*/4),
+  };
+  for (std::size_t num_threads : {1u, 2u, 8u}) {
+    FleetAnalyzer fleet(make_config(num_threads));
+    EXPECT_THROW((void)fleet.publish(true), AnalysisError);
+    std::vector<trace::TraceBundle> latest;
+    std::size_t step = 0;
+    for (const trace::TraceBundle& bundle : arrivals) {
+      fleet.add_bundle(bundle);
+      const auto slot = std::find_if(
+          latest.begin(), latest.end(), [&](const trace::TraceBundle& held) {
+            return held.fleet_key() == bundle.fleet_key();
+          });
+      if (slot == latest.end()) {
+        latest.push_back(bundle);
+      } else {
+        *slot = bundle;
+      }
+      SCOPED_TRACE("threads=" + std::to_string(num_threads) +
+                   " step=" + std::to_string(step));
+
+      const AnalysisResult one_pass = batch_run(latest, num_threads);
+      AnalysisConfig two_pass_config = make_config(num_threads);
+      const double fraction =
+          static_cast<double>(one_pass.report.traces_with_manifestation) /
+          static_cast<double>(one_pass.report.total_traces);
+      two_pass_config.reporting.developer_reported_fraction = fraction;
+      const AnalysisResult two_pass =
+          ManifestationAnalyzer(two_pass_config).run(latest);
+
+      // Alternate which image is published first, so neither relies on
+      // state the other left behind.
+      std::shared_ptr<const FleetAnalyzer::SnapshotImage> estimated;
+      std::shared_ptr<const FleetAnalyzer::SnapshotImage> configured;
+      if (step++ % 2 == 0) {
+        estimated = fleet.publish(true);
+        configured = fleet.publish(false);
+      } else {
+        configured = fleet.publish(false);
+        estimated = fleet.publish(true);
+      }
+
+      EXPECT_EQ(estimated->arrivals, fleet.arrivals());
+      EXPECT_EQ(estimated->fleet_size, latest.size());
+      EXPECT_EQ(estimated->reported_fraction, fraction);
+      EXPECT_EQ(estimated->traces_with_manifestation,
+                two_pass.report.traces_with_manifestation);
+      EXPECT_EQ(render_report(estimated->report, estimated->reported_fraction),
+                render_report(two_pass.report, fraction));
+
+      EXPECT_EQ(configured->fleet_size, latest.size());
+      EXPECT_EQ(configured->reported_fraction, 0.25);
+      EXPECT_EQ(configured->traces_with_manifestation,
+                one_pass.report.traces_with_manifestation);
+      EXPECT_EQ(
+          render_report(configured->report, configured->reported_fraction),
+          render_report(one_pass.report, 0.25));
+    }
   }
 }
 

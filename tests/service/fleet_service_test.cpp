@@ -263,7 +263,9 @@ TEST(FleetServiceTest, HotFanoutKeepsPerUserOrderAndMatchesBatch) {
   for (const std::uint64_t id : log) {
     const std::size_t index = index_of.at(id);
     const UserId user = arrivals[index].fleet_key();
-    if (last_seen.count(user)) EXPECT_GT(index, last_seen[user]);
+    if (last_seen.count(user)) {
+      EXPECT_GT(index, last_seen[user]);
+    }
     last_seen[user] = index;
     applied.push_back(arrivals[index]);
   }
