@@ -41,14 +41,6 @@ ComponentSpec* AppSpec::find_component(const std::string& class_name) {
       static_cast<const AppSpec*>(this)->find_component(class_name));
 }
 
-const ComponentSpec* AppSpec::find_component_by_simple_name(
-    const std::string& simple_name) const {
-  for (const ComponentSpec& component : components) {
-    if (component.simple_name == simple_name) return &component;
-  }
-  return nullptr;
-}
-
 int AppSpec::total_loc() const {
   int total = glue_loc;
   for (const ComponentSpec& component : components) {

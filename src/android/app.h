@@ -57,8 +57,6 @@ struct AppSpec {
   [[nodiscard]] const ComponentSpec* find_component(
       const std::string& class_name) const;
   [[nodiscard]] ComponentSpec* find_component(const std::string& class_name);
-  [[nodiscard]] const ComponentSpec* find_component_by_simple_name(
-      const std::string& simple_name) const;
 
   /// Total source lines: callbacks + helpers + glue.
   [[nodiscard]] int total_loc() const;

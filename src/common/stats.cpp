@@ -60,27 +60,6 @@ double percentile_sorted(std::span<const double> sorted_values, double p) {
          fraction * (sorted_values[hi] - sorted_values[lo]);
 }
 
-double percentile_select(std::span<const double> values, double p) {
-  require(!values.empty(), "stats::percentile: empty input");
-  require(p >= 0.0 && p <= 100.0, "stats::percentile: p must be in [0,100]");
-  if (values.size() == 1) return values.front();
-  // Same R-7 rank arithmetic as percentile_sorted, but the two order
-  // statistics come from one nth_element pass: after selecting rank `lo`,
-  // everything right of it is >= sorted[lo], so sorted[hi] (hi <= lo + 1)
-  // is the minimum of that suffix.  Order statistics are multiset values,
-  // so the interpolated result is bit-identical to the sorted path.
-  const double h = static_cast<double>(values.size() - 1) * (p / 100.0);
-  const auto lo = static_cast<std::size_t>(std::floor(h));
-  const double fraction = h - static_cast<double>(lo);
-  std::vector<double> scratch(values.begin(), values.end());
-  const auto lo_it = scratch.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(scratch.begin(), lo_it, scratch.end());
-  const double at_lo = *lo_it;
-  if (fraction == 0.0) return at_lo;
-  const double at_hi = *std::min_element(lo_it + 1, scratch.end());
-  return at_lo + fraction * (at_hi - at_lo);
-}
-
 double median(std::span<const double> values) {
   return percentile(values, 50.0);
 }

@@ -35,11 +35,6 @@ double percentile(std::span<const double> values, double p);
 /// order (e.g. a cached sorted distribution): O(1), no copy, no sort.
 double percentile_sorted(std::span<const double> sorted_values, double p);
 
-/// percentile() via selection instead of a full sort: O(n) average for a
-/// one-off query on unsorted data (copies into a scratch buffer and runs
-/// nth_element).  Returns exactly the same value as percentile().
-double percentile_select(std::span<const double> values, double p);
-
 /// Median == percentile(values, 50).
 double median(std::span<const double> values);
 
@@ -54,7 +49,6 @@ struct Quartiles {
   [[nodiscard]] double upper_inner_fence() const { return q3 + 1.5 * iqr(); }
   /// Q3 + 3*IQR — the paper's manifestation-point threshold (Step 4).
   [[nodiscard]] double upper_outer_fence() const { return q3 + 3.0 * iqr(); }
-  [[nodiscard]] double lower_inner_fence() const { return q1 - 1.5 * iqr(); }
   [[nodiscard]] double lower_outer_fence() const { return q1 - 3.0 * iqr(); }
 };
 

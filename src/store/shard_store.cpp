@@ -36,9 +36,8 @@ using ManifestContents = sutil::ManifestContents;
 namespace {
 
 constexpr std::string_view kSegmentMagic = "EDXWAL03";
-constexpr std::string_view kSnapshotMagic = "EDXSNP2";
+constexpr std::string_view kSnapshotMagic = "EDXSNP3";
 constexpr std::string_view kLayoutMagic = "EDXLAY01";
-constexpr std::uint32_t kSnapshotVersion = 1;
 // Frame kinds: 1 = bundle record, 2 = block-compressed bundle record;
 // +2 (3/4) = same payload, but a `string key` precedes it — the tenant's
 // first-ever persisted record registers its key without spending a
@@ -215,17 +214,16 @@ SegmentScan scan_segment(const std::string& path, std::uint64_t base,
   return scan;
 }
 
-/// One tenant section as loaded from an EDXSNP2 snapshot.
+/// One tenant section as loaded from an EDXSNP3 snapshot.
 struct SnapshotTenant {
   TenantId id{kInvalidTenant};
   std::string key;
-  std::vector<BundleRef> bundles;
-  std::vector<std::string> names;
-  std::vector<std::vector<double>> powers;
+  std::vector<core::AnalyzedTrace> slots;
 };
 
-/// Reads snapshot-<seq>.edx; returns false when invalid in any way and
-/// throws when it is in another format version.
+/// Reads snapshot-<seq>.edx, interning each section's name table once;
+/// returns false when invalid in any way and throws when it is in another
+/// format version.
 bool load_snapshot_file(const std::string& path,
                         std::vector<SnapshotTenant>& tenants) {
   std::string bytes;
@@ -242,7 +240,6 @@ bool load_snapshot_file(const std::string& path,
         file.bytes(kSnapshotMagic.size()) != kSnapshotMagic) {
       return false;
     }
-    if (file.u32le() != kSnapshotVersion) return false;
     const std::uint64_t payload_len = file.varint();
     if (file.remaining() != payload_len + 4) return false;
     const std::string_view payload_bytes =
@@ -253,41 +250,37 @@ bool load_snapshot_file(const std::string& path,
     payload.varint();  // seq; the filename is authoritative
     const std::uint64_t tenant_count = payload.varint();
     if (tenant_count > payload.remaining()) return false;
-    loaded.reserve(static_cast<std::size_t>(tenant_count));
     TenantId previous_id = kInvalidTenant;  // sections ascend by id
     for (std::uint64_t t = 0; t < tenant_count; ++t) {
       SnapshotTenant& tenant = loaded.emplace_back();
       const std::uint64_t id = payload.varint();
-      if (id >= kInvalidTenant) return false;
-      tenant.id = static_cast<TenantId>(id);
-      if (previous_id != kInvalidTenant && tenant.id <= previous_id) {
+      if (id >= kInvalidTenant ||
+          (previous_id != kInvalidTenant && id <= previous_id)) {
         return false;
       }
-      previous_id = tenant.id;
+      tenant.id = previous_id = static_cast<TenantId>(id);
       tenant.key = std::string(payload.string());
       if (tenant.key.empty()) return false;
-      const std::uint64_t bundle_count = payload.varint();
-      if (bundle_count > payload.remaining()) return false;
-      tenant.bundles.reserve(static_cast<std::size_t>(bundle_count));
-      for (std::uint64_t i = 0; i < bundle_count; ++i) {
-        tenant.bundles.push_back(std::make_shared<const trace::TraceBundle>(
-            decode_bundle(payload.string())));
-      }
       const std::uint64_t name_count = payload.varint();
       if (name_count > payload.remaining()) return false;
-      tenant.names.reserve(static_cast<std::size_t>(name_count));
-      for (std::uint64_t i = 0; i < name_count; ++i) {
-        tenant.names.emplace_back(payload.string());
-      }
+      std::vector<EventId> names(static_cast<std::size_t>(name_count));
+      for (EventId& name : names) name = intern_event(payload.string());
       const std::uint64_t slot_count = payload.varint();
-      if (slot_count != tenant.names.size()) return false;
-      tenant.powers.resize(static_cast<std::size_t>(slot_count));
-      for (auto& list : tenant.powers) {
-        const std::uint64_t power_count = payload.varint();
-        if (power_count > payload.remaining() / 8 + 1) return false;
-        list.reserve(static_cast<std::size_t>(power_count));
-        for (std::uint64_t i = 0; i < power_count; ++i) {
-          list.push_back(payload.f64());
+      if (slot_count > payload.remaining()) return false;
+      tenant.slots.resize(static_cast<std::size_t>(slot_count));
+      for (core::AnalyzedTrace& slot : tenant.slots) {
+        slot.user = static_cast<UserId>(payload.zigzag());
+        const std::uint64_t event_count = payload.varint();
+        if (event_count > payload.remaining() / 11) return false;
+        slot.events.resize(static_cast<std::size_t>(event_count));
+        TimestampMs begin = 0;
+        for (core::PoweredEvent& event : slot.events) {
+          const std::uint64_t name = payload.varint();
+          if (name >= names.size()) return false;
+          event.id = names[static_cast<std::size_t>(name)];
+          begin += payload.zigzag();
+          event.interval = {begin, begin + payload.zigzag()};
+          event.raw_power = payload.f64();
         }
       }
     }
@@ -465,17 +458,14 @@ ShardStore ShardStore::open(const std::string& directory,
     }
     for (SnapshotTenant& section : sections) {
       Tenant& tenant = tenant_slot(section.id);
-      tenant.key = section.key;
+      tenant.key = std::move(section.key);
       tenant.key_persisted = true;
-      tenant.snapshot_bundles = std::move(section.bundles);
-      tenant.snapshot_names = std::move(section.names);
-      tenant.snapshot_powers = std::move(section.powers);
-      tenant.fleet = tenant.snapshot_bundles;  // shares, copies no data
-      for (std::size_t slot = 0; slot < tenant.fleet.size(); ++slot) {
-        tenant.slot_by_user.emplace(tenant.fleet[slot]->fleet_key(), slot);
+      tenant.slots = std::move(section.slots);
+      for (const core::AnalyzedTrace& slot : tenant.slots) {
+        tenant.users.insert(slot.user);
       }
       tenant.last_seq = st.recovery.snapshot_seq;
-      st.recovery.snapshot_bundle_count += tenant.fleet.size();
+      st.recovery.snapshot_bundle_count += tenant.slots.size();
       st.tenant_by_key.emplace(tenant.key, section.id);
     }
   }
@@ -505,10 +495,24 @@ ShardStore ShardStore::open(const std::string& directory,
   sutil::remove_stale_temp_files(directory);
 
   // Sequential merge in base order: fan tenant-tagged records back out to
-  // per-tenant fleets.  Interning happens here, in replay order, so
+  // per-tenant tails.  Interning happens here, in replay order, so
   // recovery is byte-identical for any recovery_threads.  The first torn
-  // segment ends the global replay; only the active segment is repaired.
+  // segment or sequence gap ends the global replay.  Only a tear in the
+  // active segment is repaired; any other stop leaves the store read-only,
+  // since appends after it would never be replayed.
   bool stop_replay = false;
+  std::uint64_t covered = st.recovery.snapshot_seq;
+  const auto stop = [&st, &stop_replay](const std::string& reason,
+                                        bool repairable) {
+    stop_replay = true;
+    if (!st.recovery.wal_tail_torn) {
+      st.recovery.wal_tail_torn = true;
+      st.recovery.wal_tail_reason = reason;
+    }
+    if (!repairable && st.recovery.read_only_reason.empty()) {
+      st.recovery.read_only_reason = reason;
+    }
+  };
   for (std::size_t i = 0; i < scans.size(); ++i) {
     SegmentScan& scan = scans[i];
     const bool is_active = i + 1 == scans.size();
@@ -516,9 +520,15 @@ ShardStore ShardStore::open(const std::string& directory,
     ++st.recovery.segments_scanned;
     st.recovery.wal_bytes_salvaged += scan.stats.bytes;
     st.recovery.wal_bytes_dropped += scan.file_size - scan.stats.bytes;
+    if (!stop_replay && scan.stats.base_seq > covered + 1) {
+      stop("sequence gap: records " + std::to_string(covered + 1) + ".." +
+               std::to_string(scan.stats.base_seq - 1) + " missing before " +
+               scan.stats.file,
+           false);
+    }
     if (stop_replay) {
       if (!scan.stats.reason.empty()) scan.stats.reason += "; ";
-      scan.stats.reason += "not replayed (earlier segment torn)";
+      scan.stats.reason += "not replayed (replay stopped earlier)";
     } else {
       for (ScannedRecord& record : scan.records) {
         if (record.has_key) {
@@ -530,11 +540,9 @@ ShardStore ShardStore::open(const std::string& directory,
           } else if (tenant.key != record.key) {
             // CRC-valid but semantically impossible — a writer bug or
             // tampering.  Stop the replay like any other bad tail.
-            stop_replay = true;
-            st.recovery.wal_tail_torn = true;
-            st.recovery.wal_tail_reason =
-                "tenant key conflict for tenant id " +
-                std::to_string(record.tenant);
+            stop("tenant key conflict for tenant id " +
+                     std::to_string(record.tenant),
+                 false);
             break;
           }
         }
@@ -546,30 +554,21 @@ ShardStore ShardStore::open(const std::string& directory,
             // A live record for a tenant the snapshot + earlier records
             // never registered: the prefix that carried its registration
             // is gone.  Stop rather than guess.
-            stop_replay = true;
-            st.recovery.wal_tail_torn = true;
-            st.recovery.wal_tail_reason =
-                "record references unregistered tenant id " +
-                std::to_string(record.tenant);
+            stop("record references unregistered tenant id " +
+                     std::to_string(record.tenant),
+                 false);
             break;
           }
           Tenant& tenant = st.tenants[record.tenant];
-          auto bundle = std::make_shared<const trace::TraceBundle>(
-              assemble_bundle(std::move(record.parts)));
-          tenant.tail.push_back(bundle);
-          tenant.tail_seqs.push_back(record.seq);
-          const auto [it, inserted] = tenant.slot_by_user.emplace(
-              bundle->fleet_key(), tenant.fleet.size());
-          if (inserted) {
-            tenant.fleet.push_back(std::move(bundle));
-          } else {
-            tenant.fleet[it->second] = std::move(bundle);
-          }
+          tenant.tail.push_back(std::make_shared<const trace::TraceBundle>(
+              assemble_bundle(std::move(record.parts))));
+          tenant.users.insert(tenant.tail.back()->fleet_key());
           tenant.last_seq = record.seq;
           ++st.recovery.wal_records_replayed;
         }
         st.last_seq = std::max(st.last_seq, record.seq);
       }
+      covered = std::max(covered, scan.stats.last_seq);
     }
     // Resolve the per-tenant record counts now that keys are known.
     for (const auto& [id, count] : scan.tenant_counts) {
@@ -581,21 +580,17 @@ ShardStore ShardStore::open(const std::string& directory,
     }
     if (scan.stats.torn) {
       ++st.recovery.segments_salvaged;
-      stop_replay = true;
-      if (!st.recovery.wal_tail_torn) {
-        st.recovery.wal_tail_torn = true;
-        st.recovery.wal_tail_reason = scan.stats.reason;
-      }
+      stop(scan.stats.reason, is_active);
     }
     scan.records.clear();
   }
 
-  // Repair the active tail (salvage-and-truncate); sealed segments are
-  // immutable and never touched.
+  // Repair the active tail (salvage-and-truncate) of a writable store;
+  // sealed segments are immutable and never touched.
   if (!scans.empty()) {
     SegmentScan& active = scans.back();
     const std::string& path = segments.back().second;
-    if (active.stats.torn) {
+    if (active.stats.torn && st.recovery.read_only_reason.empty()) {
       const std::string header = segment_header(active.stats.base_seq);
       if (active.stats.bytes < header.size()) {
         const int fd = ::open(path.c_str(), O_WRONLY | O_TRUNC);
@@ -694,7 +689,9 @@ ShardStore::ShardStore(Recovered&& st)
       active_last_seq_(st.active_last_seq),
       active_bytes_(st.active_bytes),
       written_seq_(st.last_seq) {
-  write_manifest();  // publish a manifest matching recovered reality
+  // Publish a manifest matching recovered reality (a read-only store
+  // changes no file).
+  if (recovery_.read_only_reason.empty()) write_manifest();
   writer_ = std::thread(&ShardStore::writer_loop, this);
 }
 
@@ -810,70 +807,32 @@ std::vector<TenantInfo> ShardStore::tenants() const {
     TenantInfo& info = out.emplace_back();
     info.id = static_cast<TenantId>(id);
     info.key = tenant.key;
-    info.fleet_size = tenant.fleet.size();
+    info.fleet_size = tenant.users.size();
     info.tail_size = tenant.tail.size();
     info.last_seq = tenant.last_seq;
   }
   return out;
 }
 
-const std::vector<BundleRef>& ShardStore::fleet_refs(TenantId id) const {
-  return tenant_ref(id).fleet;
+std::vector<core::AnalyzedTrace> ShardStore::snapshot_step1(
+    TenantId id) const {
+  return tenant_ref(id).slots;
 }
 
 const std::vector<BundleRef>& ShardStore::tail_refs(TenantId id) const {
   return tenant_ref(id).tail;
 }
 
-const std::vector<BundleRef>& ShardStore::snapshot_refs(TenantId id) const {
-  return tenant_ref(id).snapshot_bundles;
-}
-
 std::uint64_t ShardStore::tenant_last_seq(TenantId id) const {
   return tenant_ref(id).last_seq;
 }
 
-std::vector<core::AnalyzedTrace> ShardStore::snapshot_step1(
-    TenantId id) const {
-  const Tenant& tenant = tenant_ref(id);
-  std::unordered_map<EventId, std::size_t> local_index;
-  local_index.reserve(tenant.snapshot_names.size());
-  for (std::size_t i = 0; i < tenant.snapshot_names.size(); ++i) {
-    local_index.emplace(intern_event(tenant.snapshot_names[i]), i);
+void ShardStore::require_writable(const char* operation) const {
+  if (!recovery_.read_only_reason.empty()) {
+    throw Error(std::string("ShardStore: ") + operation + " refused: " +
+                directory_ + " is read-only after recovery stopped early (" +
+                recovery_.read_only_reason + ")");
   }
-  std::vector<std::size_t> cursor(tenant.snapshot_powers.size(), 0);
-
-  std::vector<core::AnalyzedTrace> traces;
-  traces.reserve(tenant.snapshot_bundles.size());
-  for (const BundleRef& bundle : tenant.snapshot_bundles) {
-    core::AnalyzedTrace& analyzed = traces.emplace_back();
-    analyzed.user = bundle->user;
-    const std::vector<trace::EventInstance> instances =
-        bundle->events.instances();
-    analyzed.events.reserve(instances.size());
-    for (const trace::EventInstance& instance : instances) {
-      const auto it = local_index.find(instance.event);
-      if (it == local_index.end() ||
-          cursor[it->second] >= tenant.snapshot_powers[it->second].size()) {
-        throw ParseError(
-            "ShardStore::snapshot_step1: ranking state does not cover the "
-            "snapshot bundles (inconsistent snapshot)");
-      }
-      core::PoweredEvent& event = analyzed.events.emplace_back();
-      event.id = instance.event;
-      event.interval = instance.interval;
-      event.raw_power =
-          tenant.snapshot_powers[it->second][cursor[it->second]++];
-    }
-  }
-  for (std::size_t i = 0; i < cursor.size(); ++i) {
-    if (cursor[i] != tenant.snapshot_powers[i].size()) {
-      throw ParseError(
-          "ShardStore::snapshot_step1: leftover ranking powers "
-          "(inconsistent snapshot)");
-    }
-  }
-  return traces;
 }
 
 // ----------------------------------------------------------------------
@@ -901,6 +860,7 @@ void ShardStore::recycle_payloads(std::vector<Pending>& batch) {
 std::uint64_t ShardStore::enqueue(TenantId id,
                                   const trace::TraceBundle& bundle,
                                   bool durable) {
+  require_writable("append");
   Tenant& tenant = tenant_ref(id);  // validates the id
   // All the expensive work — encoding, optional compression, the one
   // bundle copy — happens outside the lock; the encode buffer comes from
@@ -943,15 +903,8 @@ std::uint64_t ShardStore::enqueue(TenantId id,
     tenant.key_persisted = true;
   }
   tenant.last_seq = seq;
-  tenant.tail.push_back(ref);
-  tenant.tail_seqs.push_back(seq);
-  const auto [it, inserted] =
-      tenant.slot_by_user.emplace(ref->fleet_key(), tenant.fleet.size());
-  if (inserted) {
-    tenant.fleet.push_back(std::move(ref));
-  } else {
-    tenant.fleet[it->second] = std::move(ref);
-  }
+  tenant.users.insert(ref->fleet_key());
+  tenant.tail.push_back(std::move(ref));
   queue_bytes_ += payload.size() + sizeof(Pending);
   queue_.push_back(Pending{seq, id, kind, std::move(payload)});
   queue_cv_.notify_one();
@@ -1182,6 +1135,7 @@ void ShardStore::write_manifest() {
 // ----------------------------------------------------------------------
 
 bool ShardStore::compact_async() {
+  require_writable("compaction");
   // Lock order everywhere: tenant_mutex_ before mutex_ (enqueue resolves
   // the tenant before taking the queue lock).
   std::shared_lock<std::shared_mutex> tenants_lk(tenant_mutex_);
@@ -1190,17 +1144,18 @@ bool ShardStore::compact_async() {
   if (compaction_thread_.joinable()) compaction_thread_.join();  // finished
   if (last_seq_ == snapshot_seq_) return false;  // nothing new to fold
   const std::uint64_t cut = last_seq_;
-  std::vector<std::pair<TenantId, std::vector<BundleRef>>> fleets;
-  fleets.reserve(tenant_by_key_.size());
+  // Every tail record has seq <= cut; later appends land behind them.
+  std::vector<std::pair<TenantId, std::vector<BundleRef>>> tails;
+  tails.reserve(tenant_by_key_.size());
   for (std::size_t id = 0; id < tenants_.size(); ++id) {
     if (tenants_[id].key.empty()) continue;
     // Every registered tenant is captured — even with an empty fleet —
     // so the snapshot preserves the full id->key map.
-    fleets.emplace_back(static_cast<TenantId>(id), tenants_[id].fleet);
+    tails.emplace_back(static_cast<TenantId>(id), tenants_[id].tail);
   }
   compaction_running_ = true;
   compaction_thread_ = std::thread(&ShardStore::run_compaction, this, cut,
-                                   std::move(fleets));
+                                   std::move(tails));
   return true;
 }
 
@@ -1227,7 +1182,7 @@ bool ShardStore::compaction_running() const {
 
 void ShardStore::run_compaction(
     std::uint64_t cut,
-    std::vector<std::pair<TenantId, std::vector<BundleRef>>> fleets) {
+    std::vector<std::pair<TenantId, std::vector<BundleRef>>> tails) {
   {
     std::unique_lock<std::mutex> lk(mutex_);
     compact_cv_.wait(lk, [this, cut] {
@@ -1243,62 +1198,58 @@ void ShardStore::run_compaction(
     }
   }
   try {
-    // One shared pass over the fleets; the Step-1 fold and the ranking
-    // serialization happen per tenant (each tenant's snapshot_step1 must
-    // invert independently).
-    struct TenantSection {
-      TenantId id;
-      std::vector<BundleRef>* fleet;
-      std::vector<std::string> names;
-      std::vector<std::vector<double>> powers;
-    };
-    std::vector<TenantSection> sections;
-    sections.reserve(fleets.size());
-    for (auto& [id, fleet] : fleets) {
-      TenantSection& section = sections.emplace_back();
-      section.id = id;
-      section.fleet = &fleet;
-      std::unordered_map<EventId, std::size_t> local_index;
-      for (const BundleRef& bundle : fleet) {
-        const core::AnalyzedTrace analyzed =
-            core::estimate_event_power(*bundle);
-        for (const core::PoweredEvent& event : analyzed.events) {
-          const auto [it, inserted] =
-              local_index.emplace(event.id, section.names.size());
-          if (inserted) {
-            section.names.push_back(event_name(event.id));
-            section.powers.emplace_back();
-          }
-          section.powers[it->second].push_back(event.raw_power);
-        }
-      }
-    }
-
+    // Step 1 runs for the tail records only.  Each folds into its user's
+    // slot: a re-upload replaces it, a new user appends one — the rule
+    // FleetAnalyzer applies.  Only this thread and open() write slots.
+    std::vector<std::vector<core::AnalyzedTrace>> folded;
+    folded.reserve(tails.size());
     std::string payload;
     put_varint(payload, cut);
-    put_varint(payload, sections.size());
-    for (const TenantSection& section : sections) {
-      put_varint(payload, section.id);
-      put_string(payload, tenant_ref(section.id).key);
-      put_varint(payload, section.fleet->size());
-      for (const BundleRef& bundle : *section.fleet) {
-        put_string(payload, encode_bundle(*bundle));
+    put_varint(payload, tails.size());
+    for (const auto& [id, tail] : tails) {
+      const Tenant& tenant = tenant_ref(id);
+      std::vector<core::AnalyzedTrace>& slots =
+          folded.emplace_back(tenant.slots);
+      std::unordered_map<UserId, std::size_t> slot_of;
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        slot_of.emplace(slots[i].user, i);
       }
-      put_varint(payload, section.names.size());
-      for (const std::string& name : section.names) {
-        put_string(payload, name);
+      for (const BundleRef& bundle : tail) {
+        const auto [it, inserted] =
+            slot_of.emplace(bundle->fleet_key(), slots.size());
+        if (inserted) slots.emplace_back();
+        slots[it->second] = core::estimate_event_power(*bundle);
       }
-      put_varint(payload, section.powers.size());
-      for (const std::vector<double>& list : section.powers) {
-        put_varint(payload, list.size());
-        for (const double power : list) put_f64(payload, power);
+
+      std::unordered_map<EventId, std::size_t> name_index;
+      std::string names;
+      std::string body;
+      for (const core::AnalyzedTrace& slot : slots) {
+        put_zigzag(body, slot.user);
+        put_varint(body, slot.events.size());
+        TimestampMs begin = 0;
+        for (const core::PoweredEvent& event : slot.events) {
+          const auto [it, inserted] =
+              name_index.emplace(event.id, name_index.size());
+          if (inserted) put_string(names, event_name(event.id));
+          put_varint(body, it->second);
+          put_zigzag(body, event.interval.begin - begin);
+          put_zigzag(body, event.interval.length());
+          put_f64(body, event.raw_power);
+          begin = event.interval.begin;
+        }
       }
+      put_varint(payload, id);
+      put_string(payload, tenant.key);
+      put_varint(payload, name_index.size());
+      payload += names;
+      put_varint(payload, slots.size());
+      payload += body;
     }
 
     std::string file;
     file.reserve(payload.size() + 24);
     file.append(kSnapshotMagic);
-    put_u32le(file, kSnapshotVersion);
     put_varint(file, payload.size());
     file += payload;
     put_u32le(file, common::crc32c(payload));
@@ -1330,22 +1281,12 @@ void ShardStore::run_compaction(
     {
       std::shared_lock<std::shared_mutex> tenants_lk(tenant_mutex_);
       std::lock_guard<std::mutex> lk(mutex_);
-      for (TenantSection& section : sections) {
-        Tenant& tenant = tenants_[section.id];
-        tenant.snapshot_bundles = std::move(*section.fleet);
-        tenant.snapshot_names = std::move(section.names);
-        tenant.snapshot_powers = std::move(section.powers);
-        std::size_t covered = 0;
-        while (covered < tenant.tail_seqs.size() &&
-               tenant.tail_seqs[covered] <= cut) {
-          ++covered;
-        }
-        tenant.tail.erase(
-            tenant.tail.begin(),
-            tenant.tail.begin() + static_cast<std::ptrdiff_t>(covered));
-        tenant.tail_seqs.erase(
-            tenant.tail_seqs.begin(),
-            tenant.tail_seqs.begin() + static_cast<std::ptrdiff_t>(covered));
+      for (std::size_t t = 0; t < tails.size(); ++t) {
+        Tenant& tenant = tenants_[tails[t].first];
+        tenant.slots = std::move(folded[t]);
+        tenant.tail.erase(tenant.tail.begin(),
+                          tenant.tail.begin() + static_cast<std::ptrdiff_t>(
+                                                    tails[t].second.size()));
       }
       snapshot_seq_ = cut;
     }

@@ -9,26 +9,32 @@
 // fdatasync per drained batch; frames carry a tenant tag so recovery fans
 // the records back out to per-tenant fleets.
 //
-//   append()        encodes the bundle (store/codec.h), applies it to the
-//                   tenant's in-memory fleet, queues it for the writer,
-//                   and returns once the covering sync completed;
-//                   append_async() returns once queued and flush() makes
-//                   everything durable.  The writer packs each drained
-//                   batch into one write(2) and syncs once: kAlways after
-//                   every batch, kGroup after group_window_us, kNone never.
-//   compact_async() folds every tenant's fleet as of last_seq() into a
-//                   snapshot on a background thread, then deletes the
-//                   sealed segments it subsumes and all but the two newest
-//                   snapshots.  Appends keep flowing meanwhile.
+//   append()        encodes the bundle (store/codec.h), adds it to the
+//                   tenant's tail, queues it for the writer, and returns
+//                   once the covering sync completed; append_async()
+//                   returns once queued and flush() makes everything
+//                   durable.  The writer packs each drained batch into
+//                   one write(2) and syncs once: kAlways after every
+//                   batch, kGroup after group_window_us, kNone never.
+//   compact_async() folds every tenant's tail as of last_seq() into its
+//                   Step-1 slots on a background thread (Step 1 runs for
+//                   the tail records only), writes them as a snapshot,
+//                   then deletes the sealed segments it subsumes and all
+//                   but the two newest snapshots.  Appends keep flowing.
 //   open()          loads the newest valid snapshot and replays the WAL
 //                   over it: sealed segments decode in parallel and merge
 //                   in sequence order; replay stops at the first record
-//                   whose frame is torn or fails its CRC32C.
+//                   whose frame is torn or fails its CRC32C, and at the
+//                   first sequence gap.
 //
-// Re-uploads honor TraceBundle::fleet_key(): a tenant's record whose key
-// is already in its fleet replaces that slot, the same replace-not-
-// duplicate rule FleetAnalyzer applies, so feeding snapshot_step1() and
-// tail_refs() to the analyzer reproduces the never-restarted report.
+// A tenant's state is Step 1's output for each user the snapshot covers
+// (snapshot_step1(), first-arrival slot order) plus the bundles appended
+// since (tail_refs(), arrival order).  Re-uploads honor
+// TraceBundle::fleet_key(): compaction folds a tail record into its
+// user's slot, the same replace-not-duplicate rule FleetAnalyzer applies,
+// so feeding snapshot_step1() and then tail_refs() to the analyzer
+// reproduces the never-restarted report.  A snapshot keeps no utilization
+// samples: once compacted, an upload cannot be re-run through Step 1.
 //
 // On-disk layout inside the shard directory:
 //   wal-<base>.edx      one WAL segment; header "EDXWAL03" + varint base
@@ -55,27 +61,36 @@
 //                       varint sealed_count x (varint base + varint
 //                       last_seq), varint active_base.  Advisory: the
 //                       directory scan is authoritative.
-//   snapshot-<seq>.edx  "EDXSNP2" + u32le version + varint payload_len +
-//                         payload + u32le crc32c(payload)
+//   snapshot-<seq>.edx  "EDXSNP3" + varint payload_len + payload + u32le
+//                         crc32c(payload)
 //                         payload := varint seq
 //                                    varint tenant_count
 //                                    tenant_count x tenant section,
 //                                      ascending tenant id:
 //                                      varint tenant_id | string key |
-//                                      varint bundle_count + bundles |
 //                                      varint name_count + names |
-//                                      varint slot_count + per-slot
-//                                        (varint power_count + f64s)
+//                                      varint slot_count x slot
+//                         slot := zigzag user | varint event_count x
+//                                 (varint name_index | zigzag begin delta
+//                                  | zigzag length | f64 raw_power)
+//                       A slot is one user's Step-1 trace: its events in
+//                       trace order, each begin a delta from the previous
+//                       event's, raw powers as exact IEEE-754 bits.
 //                       Every registered tenant appears, even with an
 //                       empty fleet, so the id->key map survives the
 //                       deletion of the sealed segments that carried the
 //                       kind-3/4 records.  Tenant ids are never reassigned.
-//                       The power lists are Step 1's exact outputs, so
-//                       snapshot_step1() warm-starts without the power join.
 //
 // A segment or snapshot whose complete magic names another EDX format
 // version is refused: open() throws before it changes any file.  Old
 // formats are never migrated or repaired; their traces must be re-ingested.
+//
+// Replay that stops anywhere but in the torn end of the active segment
+// (a torn sealed segment, a sequence gap, a tenant-key conflict, a record
+// of an unregistered tenant) leaves the store read-only: open() repairs
+// nothing and writes no manifest, reads work, and append(), append_async()
+// and compact_async() throw an Error naming the reason, so no upload is
+// acknowledged that the next open would not replay.
 //
 // Thread safety: append()/append_async()/flush() from any threads, one
 // background compaction; per-tenant read accessors need a quiesced store.
@@ -94,6 +109,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/analysis_types.h"
@@ -194,16 +210,13 @@ class ShardStore {
   /// All tenants, ascending id.
   [[nodiscard]] std::vector<TenantInfo> tenants() const;
 
-  // Per-tenant reads (quiesced store; zero-copy).  fleet_refs(): each
-  // user's latest bundle in first-arrival slot order.  snapshot_refs():
-  // the fleet as of the loaded snapshot, which snapshot_step1() describes.
-  // tail_refs(): bundles appended after that snapshot, in arrival order.
-  [[nodiscard]] const std::vector<BundleRef>& fleet_refs(TenantId id) const;
-  [[nodiscard]] const std::vector<BundleRef>& tail_refs(TenantId id) const;
-  [[nodiscard]] const std::vector<BundleRef>& snapshot_refs(
-      TenantId id) const;
+  // Per-tenant reads (quiesced store).  snapshot_step1(): a copy of Step
+  // 1's output for each user the snapshot covers, first-arrival slot
+  // order.  tail_refs(): bundles appended after that snapshot, in arrival
+  // order (zero-copy).
   [[nodiscard]] std::vector<core::AnalyzedTrace> snapshot_step1(
       TenantId id) const;
+  [[nodiscard]] const std::vector<BundleRef>& tail_refs(TenantId id) const;
   [[nodiscard]] std::uint64_t tenant_last_seq(TenantId id) const;
 
   /// Durably appends one upload for `id` (blocks for the covering sync).
@@ -222,8 +235,8 @@ class ShardStore {
     return fsyncs_.load(std::memory_order_relaxed);
   }
 
-  /// Folds every tenant's fleet as of last_seq() into one snapshot on a
-  /// background thread (shared segment scan, per-tenant sections).
+  /// Folds every tenant's tail as of last_seq() into its slots and writes
+  /// them as one snapshot, on a background thread.
   bool compact_async();
   void wait_for_compaction();
   void compact();
@@ -236,13 +249,12 @@ class ShardStore {
     std::string key;
     bool key_persisted{false};  ///< a kind-3/4 or snapshot record holds it
     std::uint64_t last_seq{0};
-    std::vector<BundleRef> fleet;
-    std::unordered_map<UserId, std::size_t> slot_by_user;
-    std::vector<BundleRef> tail;
-    std::vector<std::uint64_t> tail_seqs;
-    std::vector<BundleRef> snapshot_bundles;
-    std::vector<std::string> snapshot_names;
-    std::vector<std::vector<double>> snapshot_powers;
+    /// Step 1's output (user + events) per snapshotted user, slot order;
+    /// written only by open() and compaction.
+    std::vector<core::AnalyzedTrace> slots;
+    /// Every user the slots or the tail hold (tenants()' fleet_size).
+    std::unordered_set<UserId> users;
+    std::vector<BundleRef> tail;  ///< every record after the snapshot
   };
 
   /// One queued, already-encoded WAL record.  `kind` is final (includes
@@ -282,7 +294,9 @@ class ShardStore {
 
   void run_compaction(
       std::uint64_t cut,
-      std::vector<std::pair<TenantId, std::vector<BundleRef>>> fleets);
+      std::vector<std::pair<TenantId, std::vector<BundleRef>>> tails);
+  /// Throws when recovery left the store read-only.
+  void require_writable(const char* operation) const;
 
   // --- immutable after open() -----------------------------------------
   std::string directory_;

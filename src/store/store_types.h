@@ -12,10 +12,10 @@
 
 namespace edx::store {
 
-/// One decoded upload, held exactly once and shared between the fleet
-/// slot, the tail, and the snapshot image (a full TraceBundle copy is
-/// ~10 heap allocations — sharing is what keeps the append hot path
-/// alloc-light).  The pointee is immutable.
+/// One decoded upload, held exactly once and shared between the tail and
+/// a compaction's cut (a full TraceBundle copy is ~10 heap allocations —
+/// sharing is what keeps the append hot path alloc-light).  The pointee
+/// is immutable.
 using BundleRef = std::shared_ptr<const trace::TraceBundle>;
 
 /// When the writer thread syncs a batch to stable storage.
@@ -55,7 +55,7 @@ struct SegmentStats {
 /// What open() found and how much of it was usable.
 struct RecoveryStats {
   std::uint64_t snapshot_seq{0};       ///< 0 = recovered without a snapshot
-  std::size_t snapshot_bundle_count{0};
+  std::size_t snapshot_bundle_count{0}; ///< Step-1 slots it holds
   std::size_t snapshots_found{0};
   std::size_t snapshots_skipped{0};    ///< corrupt / unreadable snapshots
   std::size_t wal_records_replayed{0}; ///< valid records applied to state
@@ -64,6 +64,9 @@ struct RecoveryStats {
   std::size_t wal_bytes_dropped{0};    ///< bytes at/after the first bad record
   bool wal_tail_torn{false};           ///< some segment scan stopped early
   std::string wal_tail_reason;         ///< first stop reason ("" when clean)
+  /// Set when replay stopped anywhere but in the active segment's torn
+  /// end: the store repaired nothing and refuses appends and compaction.
+  std::string read_only_reason;        ///< "" = writable
 
   std::size_t segments_scanned{0};
   std::size_t segments_salvaged{0};    ///< torn segments whose prefix was kept

@@ -1,8 +1,6 @@
 #include "workload/cli.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
@@ -18,7 +16,6 @@
 #include "android/apk.h"
 #include "android/instrumenter.h"
 #include "common/error.h"
-#include "common/latency_histogram.h"
 #include "common/strings.h"
 #include "core/fleet_analyzer.h"
 #include "core/pipeline.h"
@@ -360,6 +357,15 @@ std::size_t home_shard(const std::string& tenant, std::size_t shard_count) {
       .route(tenant, /*fleet_key=*/0, false);
 }
 
+/// `key`'s row of the store's tenants(); a default row when it has none.
+store::TenantInfo stored_tenant(const store::ShardStore& shard_store,
+                                const std::string& key) {
+  for (const store::TenantInfo& info : shard_store.tenants()) {
+    if (info.key == key) return info;
+  }
+  return {};
+}
+
 int analyze_store(const std::string& root, const AnalyzeOptions& options,
                   std::ostream& out) {
   const store::RootInfo info = store::inspect_root(root);
@@ -374,24 +380,23 @@ int analyze_store(const std::string& root, const AnalyzeOptions& options,
   store_options.recovery_threads = options.num_threads;
   const store::ShardStore recovered =
       store::ShardStore::open(home, store_options);
-  const std::optional<store::TenantId> id =
-      recovered.find_tenant(kDefaultTenant);
-  if (!id.has_value() || recovered.fleet_refs(*id).empty()) {
+  const store::TenantInfo stored = stored_tenant(recovered, kDefaultTenant);
+  if (stored.fleet_size == 0) {
     throw AnalysisError("store at " + root + " holds no bundles for tenant '" +
                         std::string(kDefaultTenant) + "'");
   }
-  // Warm restart over the zero-copy accessors: the snapshotted slots
-  // re-enter the analyzer through their recovered Step-1 state (no power
-  // join), the WAL tail through the normal arrival path — the final
-  // report is byte-identical to a never-restarted incremental run over
-  // the same uploads, and (by the FleetAnalyzer equivalence contract) to
-  // a batch run over fleet_refs(), so --incremental and the default
-  // share this one path and byte-identical output.
+  // Warm restart: the snapshotted slots re-enter the analyzer through
+  // their stored Step-1 state (no power join), the WAL tail through the
+  // normal arrival path — the final report is byte-identical to a
+  // never-restarted incremental run over the same uploads, and (by the
+  // FleetAnalyzer equivalence contract) to a batch run over each user's
+  // latest bundle, so --incremental and the default share this one path
+  // and byte-identical output.
   core::FleetAnalyzer fleet(analysis_config(options));
-  for (core::AnalyzedTrace& analyzed : recovered.snapshot_step1(*id)) {
+  for (core::AnalyzedTrace& analyzed : recovered.snapshot_step1(stored.id)) {
     fleet.add_analyzed(std::move(analyzed));
   }
-  for (const store::BundleRef& bundle : recovered.tail_refs(*id)) {
+  for (const store::BundleRef& bundle : recovered.tail_refs(stored.id)) {
     fleet.add_bundle(*bundle);
   }
   render_fleet_report(fleet, options, out);
@@ -493,11 +498,11 @@ int cmd_ingest(const IngestOptions& options, std::ostream& out) {
         shard_store.append_async(id, bundle);
       });
   shard_store.flush();
+  const store::TenantInfo stored = stored_tenant(shard_store, tenant);
   out << "ingested " << appended << " bundles into " << root << " shard-"
       << home << " as tenant '" << tenant << "' (last seq "
-      << shard_store.tenant_last_seq(id) << ", fleet "
-      << shard_store.fleet_refs(id).size() << " users, " << shard_count
-      << " shard(s))\n";
+      << stored.last_seq << ", fleet " << stored.fleet_size << " users, "
+      << shard_count << " shard(s))\n";
   if (options.compact) {
     shard_store.compact();
     out << "compacted into snapshot-" << shard_store.snapshot_seq()
@@ -521,7 +526,11 @@ void print_segment_line(const store::SegmentStats& segment,
   }
   out << ", " << segment.bytes << " bytes, "
       << (segment.sealed ? "sealed" : "active");
-  if (segment.torn) out << ", torn: " << segment.reason;
+  if (segment.torn) {
+    out << ", torn: " << segment.reason;
+  } else if (!segment.reason.empty()) {
+    out << ", " << segment.reason;  // not replayed after an early stop
+  }
   if (!segment.tenant_records.empty()) {
     out << "; tenants:";
     for (const auto& [key, records] : segment.tenant_records) {
@@ -545,6 +554,7 @@ int cmd_store_info(const std::string& root, std::ostream& out) {
     out << "  layout.edx: missing — shard count inferred from the "
            "shard-<i> directories\n";
   }
+  std::string read_only;  // the shards that refuse appends
   for (std::size_t s = 0; s < info.shard_count; ++s) {
     const std::string dir = store::shard_dir(root, s);
     if (!fs::is_directory(dir)) {
@@ -553,6 +563,10 @@ int cmd_store_info(const std::string& root, std::ostream& out) {
     }
     const store::ShardStore shard_store = store::ShardStore::open(dir);
     const store::RecoveryStats& stats = shard_store.recovery();
+    if (!stats.read_only_reason.empty()) {
+      read_only += (read_only.empty() ? "shard-" : ", shard-") +
+                   std::to_string(s);
+    }
     out << "shard-" << s << ": " << shard_store.tenant_count()
         << " tenant(s), last seq "
         << shard_store.last_seq() << ", snapshot seq "
@@ -587,7 +601,9 @@ int cmd_store_info(const std::string& root, std::ostream& out) {
       if (stats.tail_bytes_truncated > 0) {
         out << ", " << stats.tail_bytes_truncated << " truncated";
       }
-      out << ", repaired on open)\n";
+      out << (stats.read_only_reason.empty()
+                  ? ", repaired on open)\n"
+                  : "; read-only: nothing repaired, appends refused)\n");
     } else {
       out << "  tail: clean\n";
     }
@@ -601,7 +617,11 @@ int cmd_store_info(const std::string& root, std::ostream& out) {
                                      " records since snapshot)"))
         << "\n";
   }
-  out << "verdict: partitioned layout, ready to serve\n";
+  out << "verdict: partitioned layout, "
+      << (read_only.empty() ? "ready to serve"
+                            : "read-only (" + read_only + " stopped replay "
+                                  "short of the log's end)")
+      << "\n";
   return 0;
 }
 
@@ -694,7 +714,7 @@ int cmd_verify(int app_id, int users, std::uint64_t seed, std::ostream& out) {
 
 namespace {
 
-/// One tenant's simulated workload for serve/bench-serve.
+/// One tenant's simulated workload for serve.
 struct AppLoad {
   std::string key;
   std::string display_name;
@@ -764,27 +784,20 @@ void run_writers(
   for (std::thread& thread : threads) thread.join();
 }
 
-service::ServiceOptions base_service_options(std::size_t shards,
-                                             std::size_t step1_threads,
-                                             std::size_t hot_fanout,
-                                             const std::vector<AppLoad>& loads) {
-  service::ServiceOptions options;
-  options.num_shards = shards;
-  options.step1_threads = step1_threads;
-  options.hot_fanout = hot_fanout;
-  if (hot_fanout > 1) {
-    for (const AppLoad& load : loads) options.hot_apps.push_back(load.key);
-  }
-  return options;
-}
-
 }  // namespace
 
 int cmd_serve(const ServeOptions& options, std::ostream& out) {
   const std::vector<AppLoad> loads =
       build_service_load(options.app_ids, options.users, options.seed);
-  service::ServiceOptions service_options = base_service_options(
-      options.shards, options.step1_threads, options.hot_fanout, loads);
+  service::ServiceOptions service_options;
+  service_options.num_shards = options.shards;
+  service_options.step1_threads = options.step1_threads;
+  service_options.hot_fanout = options.hot_fanout;
+  if (options.hot_fanout > 1) {
+    for (const AppLoad& load : loads) {
+      service_options.hot_apps.push_back(load.key);
+    }
+  }
   service_options.store_root = options.store_root;
   service_options.store.fsync_policy = parse_fsync_policy(
       options.fsync_policy, service_options.store.group_window_us);
@@ -828,84 +841,6 @@ int cmd_serve(const ServeOptions& options, std::ostream& out) {
     out << ", " << stats.store_fsyncs << " store fsync(s)";
   }
   out << "\n";
-  return 0;
-}
-
-int cmd_bench_serve(const BenchServeOptions& options, std::ostream& out) {
-  const std::vector<AppLoad> loads =
-      build_service_load(options.app_ids, options.users, options.seed);
-  service::ServiceOptions service_options = base_service_options(
-      options.shards, options.step1_threads, options.hot_fanout, loads);
-  service_options.queue_capacity = options.queue_capacity;
-
-  service::FleetService fleet_service(service_options);
-  for (const AppLoad& load : loads) fleet_service.open(load.key);
-
-  // Readers poll every tenant's snapshot while the writers run and
-  // sample staleness: arrivals submitted but not yet covered by the
-  // published epoch (bounded by queue capacity + one in-flight batch).
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> snapshot_loads{0};
-  // One histogram shard per reader (lock-free on the sampling path),
-  // merged after the join — common/latency_histogram.h's model.
-  std::vector<common::LatencyHistogram> staleness(
-      std::max<std::size_t>(options.readers, 1));
-  std::vector<std::thread> readers;
-  readers.reserve(options.readers);
-  for (std::size_t r = 0; r < options.readers; ++r) {
-    readers.emplace_back([&, r] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        for (const service::AppServiceStats& row :
-             fleet_service.stats().per_app) {
-          // Counters are sampled independently; skip the transient where
-          // a publication lands between the two loads.
-          if (row.submitted >= row.published_arrivals) {
-            staleness[r].record(row.submitted - row.published_arrivals);
-          }
-        }
-        for (const AppLoad& load : loads) {
-          if (fleet_service.snapshot(load.key) != nullptr) {
-            snapshot_loads.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-    });
-  }
-
-  const auto arrivals = interleave_arrivals(loads);
-  const std::size_t writers = std::max<std::size_t>(options.writers, 1);
-  const int passes = std::max(options.repeat, 1);
-  const auto start = std::chrono::steady_clock::now();
-  for (int pass = 0; pass < passes; ++pass) {
-    run_writers(fleet_service, arrivals, writers);
-  }
-  fleet_service.drain();
-  const double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& reader : readers) reader.join();
-
-  common::LatencyHistogram samples;
-  for (const common::LatencyHistogram& lane : staleness) {
-    samples.merge(lane);
-  }
-
-  const std::size_t total = arrivals.size() * static_cast<std::size_t>(passes);
-  out << "bench-serve: " << loads.size() << " app(s) x " << options.users
-      << " user(s), " << fleet_service.options().num_shards << " shard(s), "
-      << writers << " writer(s), " << options.readers << " reader(s)\n";
-  out << "  ingested " << total << " arrivals in " << seconds << " s ("
-      << static_cast<std::uint64_t>(static_cast<double>(total) /
-                                    std::max(seconds, 1e-9))
-      << " arrivals/s)\n";
-  out << "  snapshots: " << snapshot_loads.load(std::memory_order_relaxed)
-      << " reader loads, staleness p50 " << samples.value_at_percentile(50.0)
-      << ", p99 " << samples.value_at_percentile(99.0) << ", max "
-      << samples.max() << " arrivals (" << samples.count() << " samples)\n";
-  const service::ServiceStats stats = fleet_service.stats();
-  out << "  service: " << stats.submitted << " submitted, " << stats.batches
-      << " ingest batch(es), queue peak " << stats.queue_peak << "\n";
   return 0;
 }
 
@@ -1005,9 +940,6 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
            "[--fsync-policy always|group|group:<us>|none] "
            "[--segment-bytes N] [--compress] "
            "[--reported-fraction F] [--json] | "
-           "bench-serve --apps ID[,ID,...] [--users N] [--seed S] "
-           "[--shards N] [--writers N] [--readers N] [--threads N] "
-           "[--queue-capacity N] [--hot-fanout N] [--repeat K] | "
            "loadgen (--workload NAME | --spec FILE) [--rate R] "
            "[--duration MS] [--threads N] [--seed S] [--shards N] "
            "[--store-root DIR] [--out FILE]>\n";
@@ -1191,37 +1123,6 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
                "--segment-bytes", 0, std::int64_t{1} << 40));
     options.compress = flags.has_switch("--compress");
     return cmd_serve(options, out);
-  }
-  if (command == "bench-serve") {
-    FlagSet flags("bench-serve", rest,
-                  {"--apps", "--users", "--seed", "--shards", "--writers",
-                   "--readers", "--threads", "--queue-capacity",
-                   "--hot-fanout", "--repeat"},
-                  {});
-    flags.reject_extra_positionals(0, "--apps ID[,ID,...]");
-    BenchServeOptions options;
-    options.app_ids =
-        parse_app_id_list(flags.value("--apps").value_or(""), "--apps");
-    options.users = static_cast<int>(to_int(
-        flags.value("--users").value_or("400"), "--users", 1, 1'000'000));
-    options.seed = static_cast<std::uint64_t>(
-        to_int(flags.value("--seed").value_or("42"), "--seed", 0, kMaxInt));
-    options.shards = static_cast<std::size_t>(
-        to_int(flags.value("--shards").value_or("0"), "--shards", 0, 4096));
-    options.writers = static_cast<std::size_t>(to_int(
-        flags.value("--writers").value_or("2"), "--writers", 1, 4096));
-    options.readers = static_cast<std::size_t>(to_int(
-        flags.value("--readers").value_or("2"), "--readers", 0, 4096));
-    options.step1_threads = static_cast<std::size_t>(
-        to_int(flags.value("--threads").value_or("1"), "--threads", 0, 4096));
-    options.queue_capacity = static_cast<std::size_t>(
-        to_int(flags.value("--queue-capacity").value_or("1024"),
-               "--queue-capacity", 1, std::int64_t{1} << 30));
-    options.hot_fanout = static_cast<std::size_t>(to_int(
-        flags.value("--hot-fanout").value_or("1"), "--hot-fanout", 1, 4096));
-    options.repeat = static_cast<int>(
-        to_int(flags.value("--repeat").value_or("1"), "--repeat", 1, 10'000));
-    return cmd_bench_serve(options, out);
   }
   if (command == "loadgen") {
     FlagSet flags("loadgen", rest,

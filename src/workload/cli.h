@@ -22,10 +22,6 @@
 //                  [--fsync-policy always|group|group:<us>|none]
 //                  [--segment-bytes N] [--compress]
 //                  [--reported-fraction F] [--json]
-//   energydx bench-serve --apps ID[,ID,...] [--users N] [--seed S]
-//                        [--shards N] [--writers N] [--readers N]
-//                        [--threads N] [--queue-capacity N]
-//                        [--hot-fanout N] [--repeat K]
 //   energydx loadgen (--workload NAME | --spec FILE) [--rate R]
 //                    [--duration MS] [--threads N] [--seed S]
 //                    [--shards N] [--store-root DIR] [--out FILE]
@@ -50,10 +46,7 @@
 // <root>/shard-<i> (shard count pinned by <root>/layout.edx), so a
 // multi-tenant ingest batch costs one fsync per shard, not one per
 // tenant; --fsync-policy/--segment-bytes/--compress tune those stores
-// exactly as they tune ingest's.  `bench-serve` is the load harness: same
-// traffic plus --readers threads polling snapshots while writers run,
-// reporting ingest throughput and snapshot-staleness percentiles
-// (arrivals submitted but not yet covered by the published epoch).
+// exactly as they tune ingest's.
 //
 // `loadgen` is the declarative SLO harness (src/loadgen/): a
 // WorkloadSpec — a built-in mix from the WorkloadFactory (--workload
@@ -271,28 +264,6 @@ struct ServeOptions {
 /// (byte-identical to `analyze` over the same population) plus service
 /// counters.
 int cmd_serve(const ServeOptions& options, std::ostream& out);
-
-/// How `cmd_bench_serve` loads the service.
-struct BenchServeOptions {
-  std::vector<int> app_ids;
-  int users{400};
-  std::uint64_t seed{42};
-  std::size_t shards{0};
-  std::size_t writers{2};
-  /// Reader threads polling snapshots and sampling staleness while the
-  /// writers run.
-  std::size_t readers{2};
-  std::size_t step1_threads{1};
-  std::size_t queue_capacity{1024};
-  std::size_t hot_fanout{1};
-  /// Extra passes over the population (pass 2+ are re-uploads).
-  int repeat{1};
-};
-
-/// The serve-mode load harness: concurrent writers + concurrent
-/// snapshot readers, reporting arrivals/s and snapshot-staleness
-/// percentiles (in arrivals).
-int cmd_bench_serve(const BenchServeOptions& options, std::ostream& out);
 
 /// How `cmd_loadgen` resolves and runs a workload (src/loadgen/).
 struct LoadgenOptions {

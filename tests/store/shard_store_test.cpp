@@ -4,8 +4,10 @@
 // per-tenant fleets for any decoder thread count.  Any prefix of appends
 // survives a restart byte-identically; a torn or corrupt active tail is
 // truncated to the salvaged prefix (never read past the first bad CRC)
-// while sealed segments are never modified; the snapshot's Step-1 state
-// warm-starts the analyzer to the exact bytes of a never-restarted run;
+// while sealed segments are never modified, and any other early stop
+// (a torn sealed segment, a sequence gap) leaves the store read-only; the
+// snapshot's Step-1 slots, folded from the tail at each compaction,
+// warm-start the analyzer to the exact bytes of a never-restarted run;
 // and files in an old on-disk format are refused untouched.  Plus the
 // partitioned-root helpers (layout pinning, root inspection) the service
 // builds on, and (suite FleetStoreTest) the single-fleet store that the
@@ -15,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -103,13 +107,58 @@ std::string render(const core::AnalysisResult& result) {
          core::report_to_json(result.report, /*code_map=*/nullptr, options);
 }
 
-/// BundleRef accessors hand out shared pointers; the comparisons want
-/// values.
-std::vector<trace::TraceBundle> deref(const std::vector<BundleRef>& refs) {
-  std::vector<trace::TraceBundle> bundles;
-  bundles.reserve(refs.size());
-  for (const BundleRef& ref : refs) bundles.push_back(*ref);
-  return bundles;
+/// Each user's latest bundle among `refs`, in first-arrival slot order:
+/// the fleet a store with no snapshot holds (replace-not-duplicate).
+std::vector<trace::TraceBundle> latest_by_user(
+    const std::vector<BundleRef>& refs) {
+  std::vector<trace::TraceBundle> fleet;
+  std::map<UserId, std::size_t> slot_of;
+  for (const BundleRef& ref : refs) {
+    const auto [it, inserted] = slot_of.emplace(ref->user, fleet.size());
+    if (inserted) fleet.emplace_back();
+    fleet[it->second] = *ref;
+  }
+  return fleet;
+}
+
+/// The fleet of a store that holds a snapshot, as Step-1 images:
+/// snapshot_step1()'s slots with each tail bundle's Step 1 folded in by
+/// user (a re-upload replaces its user's slot, a new user appends one).
+std::vector<core::AnalyzedTrace> fleet_step1(const ShardStore& store,
+                                             TenantId id) {
+  std::vector<core::AnalyzedTrace> fleet = store.snapshot_step1(id);
+  for (const BundleRef& ref : store.tail_refs(id)) {
+    const auto slot = std::find_if(
+        fleet.begin(), fleet.end(),
+        [&ref](const core::AnalyzedTrace& trace) {
+          return trace.user == ref->user;
+        });
+    if (slot == fleet.end()) {
+      fleet.push_back(core::estimate_event_power(*ref));
+    } else {
+      *slot = core::estimate_event_power(*ref);
+    }
+  }
+  return fleet;
+}
+
+/// Step-1 images against Step 1 of the bundles they must describe, slot
+/// by slot and bitwise: user, event id, interval and raw power.
+void expect_step1_equals(const std::vector<core::AnalyzedTrace>& got,
+                         const std::vector<trace::TraceBundle>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    SCOPED_TRACE("slot " + std::to_string(t));
+    const core::AnalyzedTrace direct = core::estimate_event_power(want[t]);
+    EXPECT_EQ(got[t].user, direct.user);
+    ASSERT_EQ(got[t].events.size(), direct.events.size());
+    for (std::size_t i = 0; i < got[t].events.size(); ++i) {
+      EXPECT_EQ(got[t].events[i].id, direct.events[i].id);
+      EXPECT_EQ(got[t].events[i].interval, direct.events[i].interval);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[t].events[i].raw_power),
+                std::bit_cast<std::uint64_t>(direct.events[i].raw_power));
+    }
+  }
 }
 
 void expect_fleet_equals(const std::vector<trace::TraceBundle>& got,
@@ -202,6 +251,27 @@ std::string old_format_snapshot() {
   put_varint(payload, 0);  // name_count
   put_varint(payload, 0);  // slot_count
   std::string file = "EDXSNAP1";
+  put_u32le(file, 1);
+  put_varint(file, payload.size());
+  file += payload;
+  put_u32le(file, common::crc32c(payload));
+  return file;
+}
+
+/// A snapshot in the retired EDXSNP2 format, which stored every fleet
+/// bundle whole next to Step 1's per-event power lists ("EDXSNP2" + u32le
+/// version + varint payload_len + payload + u32le crc32c).
+std::string v2_format_snapshot() {
+  std::string payload;
+  put_varint(payload, 1);  // seq
+  put_varint(payload, 1);  // tenant_count
+  put_varint(payload, 0);  // tenant id
+  put_string(payload, "alpha");
+  put_varint(payload, 1);  // bundle_count
+  put_string(payload, encode_bundle(make_trace(0, true)));
+  put_varint(payload, 0);  // name_count
+  put_varint(payload, 0);  // slot_count
+  std::string file = "EDXSNP2";
   put_u32le(file, 1);
   put_varint(file, payload.size());
   file += payload;
@@ -377,8 +447,8 @@ TEST(ShardStoreTest, InterleavedTenantsRoundTripAcrossReopen) {
     EXPECT_EQ(store.last_seq(), 5u);  // one shared sequence space
     EXPECT_EQ(store.tenant_last_seq(alpha), 5u);
     EXPECT_EQ(store.tenant_last_seq(beta), 4u);
-    expect_fleet_equals(deref(store.fleet_refs(alpha)), alpha_fleet);
-    expect_fleet_equals(deref(store.fleet_refs(beta)), beta_fleet);
+    expect_fleet_equals(latest_by_user(store.tail_refs(alpha)), alpha_fleet);
+    expect_fleet_equals(latest_by_user(store.tail_refs(beta)), beta_fleet);
   }
   const ShardStore recovered = ShardStore::open(dir);
   EXPECT_EQ(recovered.recovery().wal_records_replayed, 5u);
@@ -389,8 +459,8 @@ TEST(ShardStoreTest, InterleavedTenantsRoundTripAcrossReopen) {
   ASSERT_EQ(recovered.tenant_count(), 2u);
   EXPECT_EQ(recovered.find_tenant("alpha"), std::optional<TenantId>(alpha));
   EXPECT_EQ(recovered.find_tenant("beta"), std::optional<TenantId>(beta));
-  expect_fleet_equals(deref(recovered.fleet_refs(alpha)), alpha_fleet);
-  expect_fleet_equals(deref(recovered.fleet_refs(beta)), beta_fleet);
+  expect_fleet_equals(latest_by_user(recovered.tail_refs(alpha)), alpha_fleet);
+  expect_fleet_equals(latest_by_user(recovered.tail_refs(beta)), beta_fleet);
 
   // The per-segment report names both tenants with their record counts.
   ASSERT_EQ(recovered.recovery().segments.size(), 1u);
@@ -430,16 +500,16 @@ TEST(ShardStoreTest, ReuploadReplacesSlotWithinItsTenantOnly) {
       store.append(beta, bundle);
     }
     store.append(alpha, reupload);
-    EXPECT_EQ(store.fleet_refs(alpha).size(), 3u);
-    EXPECT_EQ(store.fleet_refs(beta).size(), 3u);
+    EXPECT_EQ(latest_by_user(store.tail_refs(alpha)).size(), 3u);
+    EXPECT_EQ(latest_by_user(store.tail_refs(beta)).size(), 3u);
     EXPECT_EQ(store.last_seq(), 7u);
   }
   std::vector<trace::TraceBundle> latest = base;
   latest[1] = reupload;
   const ShardStore recovered = ShardStore::open(dir);
   EXPECT_EQ(recovered.recovery().wal_records_replayed, 7u);
-  expect_fleet_equals(deref(recovered.fleet_refs(alpha)), latest);
-  expect_fleet_equals(deref(recovered.fleet_refs(beta)), base);
+  expect_fleet_equals(latest_by_user(recovered.tail_refs(alpha)), latest);
+  expect_fleet_equals(latest_by_user(recovered.tail_refs(beta)), base);
 }
 
 TEST(ShardStoreTest, BatchAcrossManyTenantsCostsOneFsync) {
@@ -490,7 +560,7 @@ TEST(ShardStoreTest, FsyncPoliciesRoundTrip) {
     }
     const ShardStore recovered = ShardStore::open(dir, options);
     EXPECT_EQ(recovered.recovery().wal_records_replayed, 3u);
-    expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+    expect_fleet_equals(latest_by_user(recovered.tail_refs(id)), bundles);
   }
 }
 
@@ -515,7 +585,7 @@ TEST(ShardStoreTest, CompressedStoreRoundTripsAndShrinksTheWal) {
             fs::file_size(active_wal(plain_dir)));
   const ShardStore recovered = ShardStore::open(packed_dir, packed_options);
   EXPECT_EQ(recovered.recovery().wal_records_replayed, bundles.size());
-  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+  expect_fleet_equals(latest_by_user(recovered.tail_refs(id)), bundles);
 }
 
 TEST(ShardStoreTest, OpenRejectsUnreadableDirectory) {
@@ -573,8 +643,8 @@ TEST(ShardStoreTest, TruncationAtEveryByteOfMixedTenantTailSalvagesPrefix) {
     EXPECT_EQ(store.recovery().tail_bytes_truncated, cut - boundary);
     // Tearing beta's second record never disturbs alpha's fleet, and
     // beta keeps exactly its salvaged prefix.
-    expect_fleet_equals(deref(store.fleet_refs(alpha)), alpha_fleet);
-    expect_fleet_equals(deref(store.fleet_refs(beta)), beta_prefix);
+    expect_fleet_equals(latest_by_user(store.tail_refs(alpha)), alpha_fleet);
+    expect_fleet_equals(latest_by_user(store.tail_refs(beta)), beta_prefix);
     EXPECT_EQ(store.tenant_last_seq(alpha), 3u);
     EXPECT_EQ(store.tenant_last_seq(beta), 2u);
   }
@@ -620,8 +690,8 @@ TEST(ShardStoreTest, TornSealedSegmentStopsReplayWithoutModifyingIt) {
   for (std::size_t i = 0; i < replayed; ++i) {
     (i % 2 == 0 ? alpha_want : beta_want).push_back(bundles[i]);
   }
-  expect_fleet_equals(deref(store.fleet_refs(alpha)), alpha_want);
-  expect_fleet_equals(deref(store.fleet_refs(beta)), beta_want);
+  expect_fleet_equals(latest_by_user(store.tail_refs(alpha)), alpha_want);
+  expect_fleet_equals(latest_by_user(store.tail_refs(beta)), beta_want);
 }
 
 TEST(ShardStoreTest, RepairedMixedTailAcceptsNewAppends) {
@@ -654,9 +724,123 @@ TEST(ShardStoreTest, RepairedMixedTailAcceptsNewAppends) {
   const ShardStore recovered = ShardStore::open(dir);
   EXPECT_FALSE(recovered.recovery().wal_tail_torn);
   EXPECT_EQ(recovered.recovery().wal_records_replayed, 3u);
-  expect_fleet_equals(deref(recovered.fleet_refs(alpha)), {bundles[0]});
-  expect_fleet_equals(deref(recovered.fleet_refs(beta)),
+  expect_fleet_equals(latest_by_user(recovered.tail_refs(alpha)), {bundles[0]});
+  expect_fleet_equals(latest_by_user(recovered.tail_refs(beta)),
                       {bundles[1], replacement});
+}
+
+/// Expects every write entry point of `store` to throw an Error naming
+/// the read-only state and `reason`.
+void expect_read_only(ShardStore& store, TenantId id,
+                      const std::string& reason) {
+  const trace::TraceBundle bundle = make_trace(40, true);
+  const auto expect_refused = [&](const auto& write) {
+    try {
+      write();
+      ADD_FAILURE() << "a read-only store accepted a write";
+    } catch (const Error& refusal) {
+      const std::string message = refusal.what();
+      EXPECT_NE(message.find("read-only"), std::string::npos) << message;
+      EXPECT_NE(message.find(reason), std::string::npos) << message;
+    }
+  };
+  expect_refused([&] { store.append(id, bundle); });
+  expect_refused([&] { store.append_async(id, bundle); });
+  expect_refused([&] { store.compact_async(); });
+  expect_refused([&] { store.compact(); });
+}
+
+// A torn SEALED segment stops replay short of the log's end.  Appends
+// after that stop would be acknowledged and then never replayed, and a
+// compaction would write the short fleet as a snapshot and delete the
+// torn segment — so the store opens read-only and changes no file.
+TEST(ShardStoreTest, TornSealedSegmentLeavesStoreReadOnly) {
+  const std::string dir = temp_store("sealtear_readonly");
+  StoreOptions options = tiny_segments();
+  options.fsync_policy = FsyncPolicy::kAlways;
+  const std::vector<trace::TraceBundle> bundles = make_fleet(9);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir, options);
+    id = store.ensure_tenant("alpha");
+    for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
+  }
+  const std::vector<std::string> segments = segment_paths(dir);
+  ASSERT_GE(segments.size(), 3u) << "fixture should roll";
+  std::string mangled = read_file(segments[1]);
+  mangled[mangled.size() / 2] =
+      static_cast<char>(mangled[mangled.size() / 2] ^ 0x08);
+  write_file(segments[1], mangled);
+  const std::map<std::string, std::string> before = tree_bytes(dir);
+
+  std::size_t replayed = 0;
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    SCOPED_TRACE("reopen " + std::to_string(reopen));
+    ShardStore store = ShardStore::open(dir, options);
+    EXPECT_TRUE(store.recovery().wal_tail_torn);
+    if (reopen == 0) replayed = store.recovery().wal_records_replayed;
+    ASSERT_LT(replayed, bundles.size());
+    // The next open replays exactly what this one did.
+    EXPECT_EQ(store.recovery().wal_records_replayed, replayed);
+    // Reads keep working and show the replayed prefix.
+    expect_fleet_equals(
+        latest_by_user(store.tail_refs(id)),
+        std::vector<trace::TraceBundle>(
+            bundles.begin(),
+            bundles.begin() + static_cast<std::ptrdiff_t>(replayed)));
+    ASSERT_EQ(store.tenants().size(), 1u);
+    EXPECT_EQ(store.tenants()[0].fleet_size, replayed);
+    expect_read_only(store, id, store.recovery().wal_tail_reason);
+    store.close();
+    EXPECT_EQ(tree_bytes(dir), before) << "a read-only open changed files";
+  }
+}
+
+// Falling back to an older snapshot when the sealed segments that held
+// the records between the two snapshots are gone is a sequence gap:
+// replay stops there, names the missing range, and the store is
+// read-only instead of reporting a clean recovery of a shorter fleet.
+TEST(ShardStoreTest, SnapshotFallbackGapStopsReplayAndLeavesStoreReadOnly) {
+  const std::string dir = temp_store("snapgap");
+  StoreOptions options = tiny_segments();
+  options.fsync_policy = FsyncPolicy::kAlways;
+  const std::vector<trace::TraceBundle> bundles = make_fleet(14);
+  TenantId id = kInvalidTenant;
+  {
+    ShardStore store = ShardStore::open(dir, options);
+    id = store.ensure_tenant("alpha");
+    for (std::size_t i = 0; i < 3; ++i) store.append(id, bundles[i]);
+    store.compact();  // snapshot-3.edx
+    for (std::size_t i = 3; i < bundles.size(); ++i) {
+      store.append(id, bundles[i]);
+    }
+    store.compact();  // snapshot-14.edx; deletes every sealed segment
+  }
+  ASSERT_TRUE(fs::exists(dir + "/snapshot-3.edx"));
+  const std::vector<std::string> segments = segment_paths(dir);
+  ASSERT_EQ(segments.size(), 1u);
+  const std::uint64_t base =
+      std::stoull(fs::path(segments[0]).filename().string().substr(4));
+  ASSERT_GT(base, 4u) << "records 4.. must be gone with the sealed segments";
+  std::string snap = read_file(dir + "/snapshot-14.edx");
+  snap[snap.size() / 2] = static_cast<char>(snap[snap.size() / 2] ^ 0x01);
+  write_file(dir + "/snapshot-14.edx", snap);
+  const std::map<std::string, std::string> before = tree_bytes(dir);
+
+  ShardStore store = ShardStore::open(dir, options);
+  EXPECT_EQ(store.recovery().snapshots_skipped, 1u);
+  EXPECT_EQ(store.snapshot_seq(), 3u);
+  EXPECT_EQ(store.recovery().wal_records_replayed, 0u);
+  EXPECT_TRUE(store.recovery().wal_tail_torn);
+  const std::string missing =
+      "records 4.." + std::to_string(base - 1) + " missing";
+  EXPECT_NE(store.recovery().wal_tail_reason.find(missing), std::string::npos)
+      << store.recovery().wal_tail_reason;
+  expect_step1_equals(store.snapshot_step1(id),
+                      {bundles[0], bundles[1], bundles[2]});
+  expect_read_only(store, id, missing);
+  store.close();
+  EXPECT_EQ(tree_bytes(dir), before) << "a read-only open changed files";
 }
 
 // ---------------------------------------------------------------------
@@ -676,18 +860,22 @@ TEST(ShardStoreTest, OldFormatSegmentIsRefusedUntouched) {
   });
 }
 
-// Same for a snapshot of the retired EDXSNAP1 format beside a current
-// log: it is refused, not skipped as corrupt and replayed around.
+// Same for a snapshot of the retired EDXSNAP1 or EDXSNP2 format beside a
+// current log: it is refused, not skipped as corrupt and replayed around.
 TEST(ShardStoreTest, OldFormatSnapshotIsRefusedUntouched) {
-  const std::string dir = temp_store("oldsnap");
-  {
-    ShardStore store = ShardStore::open(dir);
-    store.append(store.ensure_tenant("alpha"), make_trace(0, true));
+  for (const bool v2 : {false, true}) {
+    SCOPED_TRACE(v2 ? "EDXSNP2" : "EDXSNAP1");
+    const std::string dir = temp_store(v2 ? "oldsnap2" : "oldsnap");
+    {
+      ShardStore store = ShardStore::open(dir);
+      store.append(store.ensure_tenant("alpha"), make_trace(0, true));
+    }
+    write_file(dir + "/snapshot-1.edx",
+               v2 ? v2_format_snapshot() : old_format_snapshot());
+    expect_refused_untouched(dir, dir + "/snapshot-1.edx", [&] {
+      static_cast<void>(ShardStore::open(dir));
+    });
   }
-  write_file(dir + "/snapshot-1.edx", old_format_snapshot());
-  expect_refused_untouched(dir, dir + "/snapshot-1.edx", [&] {
-    static_cast<void>(ShardStore::open(dir));
-  });
 }
 
 // ---------------------------------------------------------------------
@@ -731,10 +919,10 @@ TEST(ShardStoreTest, CompactionFoldsEveryTenantAndKeepsIdMap) {
   EXPECT_EQ(recovered.find_tenant("alpha"), std::optional<TenantId>(alpha));
   EXPECT_EQ(recovered.find_tenant("beta"), std::optional<TenantId>(beta));
   EXPECT_EQ(recovered.find_tenant("ghost"), std::optional<TenantId>(ghost));
-  EXPECT_TRUE(recovered.fleet_refs(ghost).empty());
-  expect_fleet_equals(deref(recovered.fleet_refs(alpha)), alpha_fleet);
-  expect_fleet_equals(deref(recovered.fleet_refs(beta)), beta_fleet);
-  expect_fleet_equals(deref(recovered.snapshot_refs(alpha)), alpha_fleet);
+  EXPECT_TRUE(fleet_step1(recovered, ghost).empty());
+  expect_step1_equals(fleet_step1(recovered, alpha), alpha_fleet);
+  expect_step1_equals(fleet_step1(recovered, beta), beta_fleet);
+  expect_step1_equals(recovered.snapshot_step1(alpha), alpha_fleet);
   EXPECT_TRUE(recovered.tail_refs(alpha).empty());
 }
 
@@ -767,8 +955,8 @@ TEST(ShardStoreTest, BackgroundCompactionKeepsMultiTenantAppendsFlowing) {
   for (std::size_t i = 0; i < bundles.size(); ++i) {
     (i % 2 == 0 ? alpha_want : beta_want).push_back(bundles[i]);
   }
-  expect_fleet_equals(deref(recovered.fleet_refs(alpha)), alpha_want);
-  expect_fleet_equals(deref(recovered.fleet_refs(beta)), beta_want);
+  expect_step1_equals(fleet_step1(recovered, alpha), alpha_want);
+  expect_step1_equals(fleet_step1(recovered, beta), beta_want);
 }
 
 TEST(ShardStoreTest, SnapshotStep1IsBitIdenticalToEventPower) {
@@ -787,8 +975,7 @@ TEST(ShardStoreTest, SnapshotStep1IsBitIdenticalToEventPower) {
   const std::vector<core::AnalyzedTrace> warm = recovered.snapshot_step1(id);
   ASSERT_EQ(warm.size(), bundles.size());
   for (std::size_t t = 0; t < warm.size(); ++t) {
-    const core::AnalyzedTrace direct =
-        core::estimate_event_power(*recovered.snapshot_refs(id)[t]);
+    const core::AnalyzedTrace direct = core::estimate_event_power(bundles[t]);
     SCOPED_TRACE("slot " + std::to_string(t));
     EXPECT_EQ(warm[t].user, direct.user);
     ASSERT_EQ(warm[t].events.size(), direct.events.size());
@@ -798,6 +985,68 @@ TEST(ShardStoreTest, SnapshotStep1IsBitIdenticalToEventPower) {
       // Exact double equality: the snapshot stores the raw bits.
       EXPECT_EQ(warm[t].events[i].raw_power, direct.events[i].raw_power);
     }
+  }
+}
+
+// Compaction runs Step 1 on the tail only and folds it into the stored
+// slots.  Across compact -> reopen -> re-uploads and new users ->
+// compact -> reopen, the slots must equal Step 1 of each user's latest
+// bundle in first-arrival order, bitwise, and warm-start the batch report.
+TEST(ShardStoreTest, TailFoldMatchesStep1OfLatestBundles) {
+  const std::string dir = temp_store("tailfold");
+  const std::vector<std::string> keys = {"alpha", "beta"};
+  std::vector<std::vector<trace::TraceBundle>> latest = {make_fleet(4),
+                                                         make_fleet(2, 5)};
+  {
+    ShardStore store = ShardStore::open(dir);
+    for (std::size_t t = 0; t < keys.size(); ++t) {
+      const TenantId id = store.ensure_tenant(keys[t]);
+      for (const trace::TraceBundle& bundle : latest[t]) {
+        store.append(id, bundle);
+      }
+    }
+    store.compact();
+  }
+  // Re-uploads of snapshotted users, new users, and a re-upload of a new
+  // user before the next cut, interleaved across the two tenants.
+  const std::vector<std::pair<std::size_t, trace::TraceBundle>> arrivals = {
+      {0, make_trace(1, false, 2)}, {1, make_trace(0, true, 6)},
+      {0, make_trace(4, true)},     {1, make_trace(7, false)},
+      {0, make_trace(5, false)},    {0, make_trace(4, false, 1)},
+      {0, make_trace(3, true, 3)},  {1, make_trace(7, true, 4)}};
+  {
+    ShardStore store = ShardStore::open(dir);
+    for (std::size_t t = 0; t < keys.size(); ++t) {
+      expect_step1_equals(store.snapshot_step1(*store.find_tenant(keys[t])),
+                          latest[t]);
+    }
+    for (const auto& [t, bundle] : arrivals) {
+      store.append(*store.find_tenant(keys[t]), bundle);
+      std::vector<trace::TraceBundle>& fleet = latest[t];
+      const auto slot = std::find_if(
+          fleet.begin(), fleet.end(),
+          [&](const trace::TraceBundle& b) { return b.user == bundle.user; });
+      if (slot == fleet.end()) {
+        fleet.push_back(bundle);
+      } else {
+        *slot = bundle;
+      }
+    }
+    store.compact();
+  }
+  const ShardStore recovered = ShardStore::open(dir);
+  EXPECT_EQ(recovered.snapshot_seq(), 6u + arrivals.size());
+  const core::ManifestationAnalyzer batch(make_config(1));
+  for (std::size_t t = 0; t < keys.size(); ++t) {
+    SCOPED_TRACE(keys[t]);
+    const TenantId id = *recovered.find_tenant(keys[t]);
+    EXPECT_TRUE(recovered.tail_refs(id).empty());
+    expect_step1_equals(recovered.snapshot_step1(id), latest[t]);
+    core::FleetAnalyzer warm(make_config(1));
+    for (core::AnalyzedTrace& analyzed : recovered.snapshot_step1(id)) {
+      warm.add_analyzed(std::move(analyzed));
+    }
+    EXPECT_EQ(render(warm.snapshot()), render(batch.run(latest[t])));
   }
 }
 
@@ -836,7 +1085,7 @@ TEST(ShardStoreTest, MultiSegmentRecoveryIsIdenticalForAnyThreadCount) {
     for (std::size_t t = 0; t < keys.size(); ++t) {
       const std::optional<TenantId> id = store.find_tenant(keys[t]);
       ASSERT_TRUE(id.has_value());
-      report += render(analyzer.run(deref(store.fleet_refs(*id))));
+      report += render(analyzer.run(latest_by_user(store.tail_refs(*id))));
     }
     if (reference.empty()) {
       reference = report;
@@ -912,7 +1161,7 @@ TEST(FleetStoreTest, AppendThenReopenRecoversFleetExactly) {
     id = store.ensure_tenant(kFleet);
     for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
     EXPECT_EQ(store.last_seq(), 5u);
-    expect_fleet_equals(deref(store.fleet_refs(id)), bundles);
+    expect_fleet_equals(latest_by_user(store.tail_refs(id)), bundles);
   }
   const ShardStore recovered = ShardStore::open(dir);
   EXPECT_EQ(recovered.recovery().wal_records_replayed, 5u);
@@ -929,9 +1178,9 @@ TEST(FleetStoreTest, AppendThenReopenRecoversFleetExactly) {
             (std::pair<std::string, std::size_t>{kFleet, 5u}));
   EXPECT_EQ(recovered.find_tenant(kFleet), std::optional<TenantId>(id));
   EXPECT_EQ(recovered.last_seq(), 5u);
-  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+  expect_fleet_equals(latest_by_user(recovered.tail_refs(id)), bundles);
   // No snapshot yet: everything is tail.
-  EXPECT_TRUE(recovered.snapshot_refs(id).empty());
+  EXPECT_TRUE(recovered.snapshot_step1(id).empty());
   EXPECT_EQ(recovered.tail_refs(id).size(), 5u);
 }
 
@@ -951,7 +1200,7 @@ TEST(FleetStoreTest, AsyncAppendsAreDurableAfterFlush) {
   }
   const ShardStore recovered = ShardStore::open(dir);
   EXPECT_EQ(recovered.recovery().wal_records_replayed, 6u);
-  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+  expect_fleet_equals(latest_by_user(recovered.tail_refs(id)), bundles);
 }
 
 TEST(FleetStoreTest, ReuploadReplacesSlotNotDuplicates) {
@@ -965,7 +1214,7 @@ TEST(FleetStoreTest, ReuploadReplacesSlotNotDuplicates) {
     id = store.ensure_tenant(kFleet);
     for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
     store.append(id, reupload);
-    EXPECT_EQ(store.fleet_refs(id).size(), 3u);
+    EXPECT_EQ(latest_by_user(store.tail_refs(id)).size(), 3u);
     EXPECT_EQ(store.last_seq(), 4u);
   }
   // The replacement persists across restart, in user 1's original slot.
@@ -973,7 +1222,7 @@ TEST(FleetStoreTest, ReuploadReplacesSlotNotDuplicates) {
   latest[1] = reupload;
   const ShardStore recovered = ShardStore::open(dir);
   EXPECT_EQ(recovered.recovery().wal_records_replayed, 4u);
-  expect_fleet_equals(deref(recovered.fleet_refs(id)), latest);
+  expect_fleet_equals(latest_by_user(recovered.tail_refs(id)), latest);
 }
 
 // A fleet ingested with `--fsync-policy none` survives a clean close and
@@ -992,7 +1241,7 @@ TEST(FleetStoreTest, FsyncPolicyNoneStillSurvivesCleanClose) {
   }
   const ShardStore recovered = ShardStore::open(dir);
   EXPECT_EQ(recovered.recovery().wal_records_replayed, 3u);
-  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+  expect_fleet_equals(latest_by_user(recovered.tail_refs(id)), bundles);
 }
 
 // Under `always` every durable append is its own sync.
@@ -1010,7 +1259,7 @@ TEST(FleetStoreTest, FsyncPolicyAlwaysRoundTrips) {
   }
   const ShardStore recovered = ShardStore::open(dir, options);
   EXPECT_EQ(recovered.recovery().wal_records_replayed, 3u);
-  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+  expect_fleet_equals(latest_by_user(recovered.tail_refs(id)), bundles);
 }
 
 TEST(FleetStoreTest, CompressedStoreRoundTripsAndShrinksTheWal) {
@@ -1038,12 +1287,13 @@ TEST(FleetStoreTest, CompressedStoreRoundTripsAndShrinksTheWal) {
   const ShardStore recovered = ShardStore::open(packed_dir, packed_options);
   EXPECT_EQ(recovered.recovery().wal_records_replayed, bundles.size());
   const std::vector<trace::TraceBundle> packed_fleet =
-      deref(recovered.fleet_refs(id));
+      latest_by_user(recovered.tail_refs(id));
   expect_fleet_equals(packed_fleet, bundles);
   const core::ManifestationAnalyzer analyzer(make_config(1));
   const ShardStore plain_recovered = ShardStore::open(plain_dir);
   EXPECT_EQ(render(analyzer.run(packed_fleet)),
-            render(analyzer.run(deref(plain_recovered.fleet_refs(id)))));
+            render(analyzer.run(
+                latest_by_user(plain_recovered.tail_refs(id)))));
 }
 
 TEST(FleetStoreTest, OpenRejectsUnreadableDirectory) {
@@ -1087,7 +1337,8 @@ TEST(FleetStoreTest, TruncationAtEveryByteOfFinalRecordSalvagesPrefix) {
 
     const ShardStore store = ShardStore::open(victim);
     ASSERT_EQ(store.recovery().wal_records_replayed, prefix.size());
-    const std::vector<trace::TraceBundle> fleet = deref(store.fleet_refs(id));
+    const std::vector<trace::TraceBundle> fleet =
+        latest_by_user(store.tail_refs(id));
     ASSERT_EQ(fleet.size(), prefix.size());
     EXPECT_EQ(store.recovery().wal_bytes_salvaged, boundary);
     EXPECT_EQ(store.recovery().wal_bytes_dropped, cut - boundary);
@@ -1147,7 +1398,7 @@ TEST(FleetStoreTest, ActiveTailTruncationLeavesSealedSegmentsUntouched) {
     }
     // The replayed prefix of the fleet matches the original bundles.
     const std::size_t have = store.recovery().wal_records_replayed;
-    expect_fleet_equals(deref(store.fleet_refs(id)),
+    expect_fleet_equals(latest_by_user(store.tail_refs(id)),
                         std::vector<trace::TraceBundle>(
                             bundles.begin(),
                             bundles.begin() + static_cast<long>(have)));
@@ -1183,7 +1434,7 @@ TEST(FleetStoreTest, CorruptionMidWalStopsAtFirstBadRecord) {
   EXPECT_EQ(store.recovery().wal_bytes_salvaged, first_boundary);
   EXPECT_EQ(store.recovery().wal_bytes_dropped,
             wal_bytes.size() - first_boundary);
-  expect_fleet_equals(deref(store.fleet_refs(id)), {bundles[0]});
+  expect_fleet_equals(latest_by_user(store.tail_refs(id)), {bundles[0]});
 }
 
 TEST(FleetStoreTest, RepairedTailAcceptsNewAppends) {
@@ -1205,7 +1456,7 @@ TEST(FleetStoreTest, RepairedTailAcceptsNewAppends) {
   {
     ShardStore store = ShardStore::open(dir);
     EXPECT_TRUE(store.recovery().wal_tail_torn);
-    EXPECT_EQ(store.fleet_refs(id).size(), 2u);
+    EXPECT_EQ(latest_by_user(store.tail_refs(id)).size(), 2u);
     EXPECT_EQ(store.last_seq(), 2u);
     store.append(id, replacement);
   }
@@ -1213,7 +1464,7 @@ TEST(FleetStoreTest, RepairedTailAcceptsNewAppends) {
   const ShardStore recovered = ShardStore::open(dir);
   EXPECT_FALSE(recovered.recovery().wal_tail_torn);
   EXPECT_EQ(recovered.recovery().wal_records_replayed, 3u);
-  expect_fleet_equals(deref(recovered.fleet_refs(id)),
+  expect_fleet_equals(latest_by_user(recovered.tail_refs(id)),
                       {bundles[0], bundles[1], replacement});
 }
 
@@ -1239,8 +1490,10 @@ TEST(FleetStoreTest, TruncationBelowHeaderRebuildsWal) {
   EXPECT_FALSE(recovered.recovery().wal_tail_torn);
   const std::optional<TenantId> id = recovered.find_tenant(kFleet);
   ASSERT_TRUE(id.has_value());
-  ASSERT_EQ(recovered.fleet_refs(*id).size(), 1u);
-  EXPECT_EQ(recovered.fleet_refs(*id)[0]->user, 7);
+  const std::vector<trace::TraceBundle> fleet =
+      latest_by_user(recovered.tail_refs(*id));
+  ASSERT_EQ(fleet.size(), 1u);
+  EXPECT_EQ(fleet[0].user, 7);
 }
 
 TEST(FleetStoreTest, ManifestCorruptionFallsBackToDirectoryScan) {
@@ -1266,7 +1519,7 @@ TEST(FleetStoreTest, ManifestCorruptionFallsBackToDirectoryScan) {
     EXPECT_NE(store.recovery().manifest_note.find("corrupt"),
               std::string::npos);
     EXPECT_EQ(store.recovery().wal_records_replayed, bundles.size());
-    expect_fleet_equals(deref(store.fleet_refs(id)), bundles);
+    expect_fleet_equals(latest_by_user(store.tail_refs(id)), bundles);
   }
   // That open rewrote a correct manifest; the next open is clean again.
   {
@@ -1280,7 +1533,7 @@ TEST(FleetStoreTest, ManifestCorruptionFallsBackToDirectoryScan) {
     EXPECT_FALSE(store.recovery().manifest_ok);
     EXPECT_NE(store.recovery().manifest_note.find("missing"),
               std::string::npos);
-    expect_fleet_equals(deref(store.fleet_refs(id)), bundles);
+    expect_fleet_equals(latest_by_user(store.tail_refs(id)), bundles);
   }
 }
 
@@ -1308,8 +1561,8 @@ TEST(FleetStoreTest, CompactWritesSnapshotAndObsoletesWalRecords) {
   EXPECT_EQ(recovered.recovery().wal_records_replayed, 0u);
   EXPECT_EQ(recovered.recovery().wal_records_obsolete, 4u);
   EXPECT_EQ(recovered.last_seq(), 4u);
-  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
-  expect_fleet_equals(deref(recovered.snapshot_refs(id)), bundles);
+  expect_step1_equals(fleet_step1(recovered, id), bundles);
+  expect_step1_equals(recovered.snapshot_step1(id), bundles);
   EXPECT_TRUE(recovered.tail_refs(id).empty());
 }
 
@@ -1331,7 +1584,7 @@ TEST(FleetStoreTest, CompactionDeletesSealedSegmentsItSubsumes) {
   const ShardStore recovered = ShardStore::open(dir, tiny_segments());
   EXPECT_EQ(recovered.snapshot_seq(), 8u);
   EXPECT_EQ(recovered.recovery().wal_records_replayed, 0u);
-  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+  expect_step1_equals(fleet_step1(recovered, id), bundles);
 }
 
 TEST(FleetStoreTest, BackgroundCompactionKeepsAppendsFlowing) {
@@ -1353,12 +1606,12 @@ TEST(FleetStoreTest, BackgroundCompactionKeepsAppendsFlowing) {
     EXPECT_EQ(store.snapshot_seq(), 4u);
     EXPECT_EQ(store.last_seq(), 7u);
     EXPECT_EQ(store.tail_refs(id).size(), 3u);
-    expect_fleet_equals(deref(store.fleet_refs(id)), bundles);
+    expect_step1_equals(fleet_step1(store, id), bundles);
   }
   const ShardStore recovered = ShardStore::open(dir, tiny_segments());
   EXPECT_EQ(recovered.snapshot_seq(), 4u);
   EXPECT_EQ(recovered.tail_refs(id).size(), 3u);
-  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+  expect_step1_equals(fleet_step1(recovered, id), bundles);
 }
 
 TEST(FleetStoreTest, PrunesAllButTwoNewestSnapshots) {
@@ -1409,7 +1662,7 @@ TEST(FleetStoreTest, CorruptNewestSnapshotFallsBackToOlder) {
   // replays them and no upload is lost.
   EXPECT_EQ(store.recovery().wal_records_obsolete, 3u);
   EXPECT_EQ(store.recovery().wal_records_replayed, 2u);
-  expect_fleet_equals(deref(store.fleet_refs(id)), bundles);
+  expect_step1_equals(fleet_step1(store, id), bundles);
 }
 
 TEST(FleetStoreTest, CompressedStoreSurvivesRestartAndCompaction) {
@@ -1432,7 +1685,7 @@ TEST(FleetStoreTest, CompressedStoreSurvivesRestartAndCompaction) {
   const ShardStore recovered = ShardStore::open(dir, options);
   EXPECT_EQ(recovered.snapshot_seq(), 4u);
   EXPECT_EQ(recovered.tail_refs(id).size(), 3u);
-  expect_fleet_equals(deref(recovered.fleet_refs(id)), bundles);
+  expect_step1_equals(fleet_step1(recovered, id), bundles);
 }
 
 TEST(FleetStoreTest, MultiSegmentRecoveryIsIdenticalForAnyThreadCount) {
@@ -1455,7 +1708,8 @@ TEST(FleetStoreTest, MultiSegmentRecoveryIsIdenticalForAnyThreadCount) {
     const ShardStore store = ShardStore::open(dir, options);
     EXPECT_EQ(store.recovery().wal_records_replayed, bundles.size());
     EXPECT_GE(store.recovery().segments_scanned, 3u);
-    const std::vector<trace::TraceBundle> fleet = deref(store.fleet_refs(id));
+    const std::vector<trace::TraceBundle> fleet =
+        latest_by_user(store.tail_refs(id));
     expect_fleet_equals(fleet, bundles);
     // Byte-identical report no matter how many decoder threads ran: the
     // merge (and therefore event interning) is sequential by design.
@@ -1485,12 +1739,11 @@ TEST(FleetStoreTest, SnapshotStep1IsBitIdenticalToEventPower) {
   }
   bundles[4] = reupload;
   const ShardStore recovered = ShardStore::open(dir);
-  expect_fleet_equals(deref(recovered.snapshot_refs(id)), bundles);
+  expect_step1_equals(recovered.snapshot_step1(id), bundles);
   const std::vector<core::AnalyzedTrace> warm = recovered.snapshot_step1(id);
   ASSERT_EQ(warm.size(), bundles.size());
   for (std::size_t t = 0; t < warm.size(); ++t) {
-    const core::AnalyzedTrace direct =
-        core::estimate_event_power(*recovered.snapshot_refs(id)[t]);
+    const core::AnalyzedTrace direct = core::estimate_event_power(bundles[t]);
     SCOPED_TRACE("slot " + std::to_string(t));
     EXPECT_EQ(warm[t].user, direct.user);
     ASSERT_EQ(warm[t].events.size(), direct.events.size());
@@ -1548,9 +1801,14 @@ TEST(FleetStoreTest, WarmRestartMatchesNeverRestartedRun) {
     }
     EXPECT_EQ(render(warm.snapshot()), want);
 
-    // And the batch path over the recovered fleet agrees too.
+    // The recovered fleet is each user's latest arrival, and the batch
+    // path over those bundles agrees too.
+    std::vector<trace::TraceBundle> latest(arrivals.begin(),
+                                           arrivals.end() - 1);
+    latest[2] = arrivals.back();
+    expect_step1_equals(fleet_step1(recovered, id), latest);
     const core::ManifestationAnalyzer batch(make_config(num_threads));
-    EXPECT_EQ(render(batch.run(deref(recovered.fleet_refs(id)))), want);
+    EXPECT_EQ(render(batch.run(latest)), want);
   }
 }
 

@@ -4,7 +4,9 @@
 // fleet, or trip TSan (the CI TSan job runs this suite).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <filesystem>
 #include <optional>
@@ -12,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/event_power.h"
 #include "power/tracker.h"
 #include "store/shard_store.h"
 #include "trace/recorder.h"
@@ -46,7 +49,9 @@ trace::TraceBundle make_trace(UserId user, int variant) {
   return bundle;
 }
 
-/// Every tenant's fleet as bundle text, slot order, keyed by tenant.
+/// Every tenant's fleet as Step-1 images, slot order, keyed by tenant:
+/// snapshot_step1()'s slots with each tail bundle's Step 1 folded in by
+/// user, one line per slot, raw powers as exact bits.
 std::vector<std::vector<std::string>> fleet_texts(
     const ShardStore& store, const std::vector<std::string>& keys) {
   std::vector<std::vector<std::string>> texts;
@@ -55,8 +60,27 @@ std::vector<std::vector<std::string>> fleet_texts(
     EXPECT_TRUE(id.has_value()) << key;
     std::vector<std::string>& fleet = texts.emplace_back();
     if (!id.has_value()) continue;
-    for (const BundleRef& bundle : store.fleet_refs(*id)) {
-      fleet.push_back(bundle->to_text());
+    std::vector<core::AnalyzedTrace> slots = store.snapshot_step1(*id);
+    for (const BundleRef& bundle : store.tail_refs(*id)) {
+      const auto slot = std::find_if(
+          slots.begin(), slots.end(), [&](const core::AnalyzedTrace& trace) {
+            return trace.user == bundle->user;
+          });
+      if (slot == slots.end()) {
+        slots.push_back(core::estimate_event_power(*bundle));
+      } else {
+        *slot = core::estimate_event_power(*bundle);
+      }
+    }
+    for (const core::AnalyzedTrace& slot : slots) {
+      std::string text = std::to_string(slot.user);
+      for (const core::PoweredEvent& event : slot.events) {
+        text += " " + event.name() + "@" +
+                std::to_string(event.interval.begin) + "-" +
+                std::to_string(event.interval.end) + "=" +
+                std::to_string(std::bit_cast<std::uint64_t>(event.raw_power));
+      }
+      fleet.push_back(std::move(text));
     }
   }
   return texts;

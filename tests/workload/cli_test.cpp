@@ -415,6 +415,72 @@ TEST(CliTest, StoreInfoReportsTornTailThenRepairedClean) {
   EXPECT_NE(clean_info.str().find("manifest: ok"), std::string::npos);
 }
 
+// A torn SEALED segment stops replay short of the log's end, so the shard
+// opens read-only: store-info and analyze --store still read it, ingest
+// is refused with the reason, and no file changes.
+TEST(CliTest, StoreInfoReportsReadOnlyShardAndIngestIsRefused) {
+  const std::string store = temp_dir("readonly_db");
+  fs::remove_all(store);
+  std::ostringstream out, err;
+  ASSERT_EQ(run({"ingest", "--store", store, "--app", "5", "--users", "12",
+                 "--seed", "9", "--segment-bytes", "20000"},
+                out, err),
+            0);
+  std::vector<std::pair<std::uint64_t, std::string>> segments;
+  for (const auto& entry : fs::directory_iterator(store + "/shard-0")) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("wal-")) {
+      segments.emplace_back(std::stoull(name.substr(4)), entry.path());
+    }
+  }
+  std::sort(segments.begin(), segments.end());
+  ASSERT_GE(segments.size(), 3u) << "fixture should roll";
+  const auto read_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  };
+  std::string sealed = read_bytes(segments[1].second);
+  sealed[sealed.size() / 2] = static_cast<char>(sealed[sealed.size() / 2] ^ 8);
+  std::ofstream(segments[1].second, std::ios::binary | std::ios::trunc)
+      << sealed;
+  const auto tree = [&] {
+    std::vector<std::pair<std::string, std::string>> files;
+    for (const auto& entry : fs::recursive_directory_iterator(store)) {
+      if (entry.is_regular_file()) {
+        files.emplace_back(entry.path(), read_bytes(entry.path()));
+      }
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+  const auto before = tree();
+
+  std::ostringstream info;
+  EXPECT_EQ(run({"store-info", "--store", store}, info, err), 0);
+  EXPECT_NE(info.str().find("tail: torn"), std::string::npos);
+  EXPECT_NE(info.str().find("read-only: nothing repaired, appends refused"),
+            std::string::npos)
+      << info.str();
+  EXPECT_NE(info.str().find("verdict: partitioned layout, read-only (shard-0"),
+            std::string::npos)
+      << info.str();
+  // The segments after the tear are listed as not replayed.
+  EXPECT_NE(info.str().find("sealed, not replayed"), std::string::npos)
+      << info.str();
+  std::ostringstream ingest_err;
+  EXPECT_EQ(run({"ingest", "--store", store, "--app", "5", "--users", "2"},
+                out, ingest_err),
+            1);
+  EXPECT_NE(ingest_err.str().find("read-only"), std::string::npos)
+      << ingest_err.str();
+  std::ostringstream report;
+  EXPECT_EQ(run({"analyze", "--store", store}, report, err), 0);
+  EXPECT_NE(report.str().find("Traces analyzed"), std::string::npos);
+  EXPECT_EQ(tree(), before) << "a read-only shard was modified";
+}
+
 TEST(CliTest, IngestPolicySegmentAndCompressionFlags) {
   const std::string dir = temp_dir("flags_src");
   const std::string store = temp_dir("flags_db");
@@ -512,7 +578,6 @@ TEST(CliTest, ServeUsageErrors) {
   EXPECT_EQ(run({"serve"}, out, err), 2);  // no --apps
   EXPECT_EQ(run({"serve", "--apps", "1,,2"}, out, err), 2);
   EXPECT_EQ(run({"serve", "5"}, out, err), 2);  // positional operand
-  EXPECT_EQ(run({"bench-serve"}, out, err), 2);
 }
 
 TEST(CliTest, IngestTenantBuildsPartitionedRootStoreInfoReadsIt) {
