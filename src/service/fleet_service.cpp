@@ -41,22 +41,31 @@ std::size_t resolve_shards(const ServiceOptions& options) {
 
 }  // namespace
 
-/// One registered app.  The apply mutex serializes everything that
-/// mutates tenant state — analyzer arrivals, the applied log, store
-/// sequence tracking, and epoch publication — so a hot app fanned over
-/// several shards still applies and publishes one arrival at a time.
-/// Readers never take it: they go through the Published slot.
+std::size_t home_shard(std::string_view app, std::size_t shards) {
+  require(shards > 0, "home_shard: need at least one shard");
+  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a 64 offset basis
+  for (const char c : app) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 1099511628211ull;  // FNV-1a 64 prime
+  }
+  return static_cast<std::size_t>(hash % shards);
+}
+
+/// One registered app.  Only its home shard's worker (and
+/// single-threaded recovery) mutates it; the apply mutex is held while
+/// it does, so applied_log() readers and publication see whole
+/// arrivals.  Snapshot readers never take it: they go through the
+/// Published slot.
 struct FleetService::Tenant {
   explicit Tenant(core::AnalysisConfig config) : analyzer(std::move(config)) {}
 
   AppKey key;
-  bool hot{false};
+  std::size_t shard{0};  ///< home shard index
   mutable std::mutex apply_mutex;
   core::FleetAnalyzer analyzer;
-  /// This tenant's id in each shard's store, kInvalidTenant until its
-  /// first record lands there.  Slot `s` is only touched by shard s's
-  /// worker (and by single-threaded recovery), so no extra lock.
-  std::vector<store::TenantId> store_ids;
+  /// The tenant's id in its home shard's store, kInvalidTenant until its
+  /// first record lands there.
+  store::TenantId store_id{store::kInvalidTenant};
   /// Submission ids in applied order — the arrival prefix every
   /// published snapshot is equivalent to a batch run over.
   std::vector<std::uint64_t> applied_log;
@@ -72,15 +81,15 @@ struct FleetService::Tenant {
   Published<FleetSnapshot> published;
 };
 
-/// One queued arrival.  The bundle is copied at submit() — the caller's
-/// buffer may die immediately after — and moved through Step 1.
+/// One queued arrival.  The bundle is copied at submit(), before the
+/// shard lock is taken — the caller's buffer may die immediately after.
 struct FleetService::Item {
   Tenant* tenant{nullptr};
   std::uint64_t id{0};
   trace::TraceBundle bundle;
 };
 
-/// One ingest lane: a bounded MPSC queue drained whole by a dedicated
+/// One ingest shard: a bounded MPSC queue drained whole by a dedicated
 /// worker (the WAL writer's group-commit shape at the analysis layer),
 /// plus this shard's partition of the durable store.
 struct FleetService::Shard {
@@ -95,26 +104,18 @@ struct FleetService::Shard {
   std::exception_ptr error;
   std::uint64_t batches{0};
   std::size_t queue_peak{0};
-  /// Private Step-1 pool: ThreadPool's run_batch state is per-pool, so
-  /// concurrent shard workers must not share one.  Also fans out the
-  /// per-tenant epoch publications at the end of each batch.
-  std::optional<common::ThreadPool> step1_pool;
-  /// All tenants routed here share this store: one WAL, one writer, one
-  /// group-commit fdatasync per drained batch.  Null without store_root.
+  /// Every tenant homed here shares this store: one WAL, one writer, one
+  /// flush() per drained batch.  Null without store_root.
   std::unique_ptr<store::ShardStore> store;
-  /// Batch scratch, worker-private and reused across batches — together
-  /// with the store's pooled encode buffers this keeps a warmed-up
-  /// drain loop off the allocator.
-  std::vector<core::AnalyzedTrace> scratch_analyzed;  ///< Step-1 slots
+  /// Tenants the current batch touched; worker-private, reused across
+  /// batches.
   std::vector<Tenant*> scratch_touched;
   std::thread worker;
 };
 
 FleetService::FleetService(ServiceOptions options)
-    : options_(std::move(options)),
-      router_(resolve_shards(options_), options_.hot_fanout) {
-  options_.num_shards = router_.num_shards();
-  options_.hot_fanout = router_.hot_fanout();
+    : options_(std::move(options)) {
+  options_.num_shards = resolve_shards(options_);
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   if (options_.analysis.num_threads == 0) {
     // AnalysisConfig's 0 means "one thread per core" — right for one
@@ -126,11 +127,7 @@ FleetService::FleetService(ServiceOptions options)
   shards_.reserve(options_.num_shards);
   for (std::size_t s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
-    Shard& shard = *shards_.back();
-    shard.index = s;
-    if (common::ThreadPool::resolve_threads(options_.step1_threads) > 1) {
-      shard.step1_pool.emplace(options_.step1_threads);
-    }
+    shards_.back()->index = s;
   }
   // Stores open (and recovery runs) before any worker starts: every
   // stored tenant is warm and published when the constructor returns.
@@ -193,22 +190,34 @@ void FleetService::open_stores() {
   // Layout first, stores second: a crash in between leaves a valid
   // (empty-shard) partitioned root.
   if (!store::read_layout(root)) store::write_layout(root, shards_.size());
+  // Each tenant is read from its home shard only.  A tenant with records
+  // on another shard cannot be merged safely: replay runs shard by
+  // shard, so an older re-upload on a later shard would replace a newer
+  // one.  Refuse such a root before warming any tenant or appending.
   for (std::unique_ptr<Shard>& shard : shards_) {
     shard->store.reset(new store::ShardStore(store::ShardStore::open(
         store::shard_dir(root, shard->index), options_.store)));
+    for (const store::TenantInfo& stored : shard->store->tenants()) {
+      const std::size_t home = home_shard(stored.key, shards_.size());
+      if (home != shard->index) {
+        throw Error("FleetService: store root '" + root + "' holds records "
+                    "of tenant '" + stored.key + "' on shard-" +
+                    std::to_string(shard->index) + ", but its home shard "
+                    "is shard-" + std::to_string(home) + "; re-ingest the "
+                    "tenant's uploads into a new root");
+      }
+    }
   }
 
   // Warm-start every stored tenant: snapshotted slots re-enter through
   // their stored Step-1 state (no power join), the WAL tail through the
   // normal arrival path — so the recovered analyzer state matches a
-  // never-restarted run byte for byte.  Shard order then tenant-id
-  // order; a hot tenant spanning shards merges per-user streams, which
-  // commutes in the report.
-  for (std::unique_ptr<Shard>& shard_ptr : shards_) {
-    store::ShardStore& shard_store = *shard_ptr->store;
+  // never-restarted run byte for byte.
+  for (std::unique_ptr<Shard>& shard : shards_) {
+    store::ShardStore& shard_store = *shard->store;
     for (const store::TenantInfo& stored : shard_store.tenants()) {
       Tenant& tenant = ensure_tenant(stored.key);
-      tenant.store_ids[shard_ptr->index] = stored.id;
+      tenant.store_id = stored.id;
       std::lock_guard apply_lock(tenant.apply_mutex);
       for (core::AnalyzedTrace& analyzed :
            shard_store.snapshot_step1(stored.id)) {
@@ -218,10 +227,7 @@ void FleetService::open_stores() {
            shard_store.tail_refs(stored.id)) {
         tenant.analyzer.add_bundle(*bundle);
       }
-      tenant.store_seq.store(
-          std::max(tenant.store_seq.load(std::memory_order_relaxed),
-                   stored.last_seq),
-          std::memory_order_relaxed);
+      tenant.store_seq.store(stored.last_seq, std::memory_order_relaxed);
     }
   }
   for (auto& [key, tenant] : tenants_) {
@@ -251,9 +257,7 @@ FleetService::Tenant& FleetService::ensure_tenant(const AppKey& app) {
 
   auto tenant = std::make_unique<Tenant>(options_.analysis);
   tenant->key = app;
-  tenant->hot = std::find(options_.hot_apps.begin(), options_.hot_apps.end(),
-                          app) != options_.hot_apps.end();
-  tenant->store_ids.assign(shards_.size(), store::kInvalidTenant);
+  tenant->shard = home_shard(app, shards_.size());
   return *tenants_.emplace(app, std::move(tenant)).first->second;
 }
 
@@ -266,63 +270,44 @@ const FleetService::Tenant* FleetService::find_tenant(
 
 void FleetService::open(const AppKey& app) { ensure_tenant(app); }
 
-void FleetService::enqueue(Shard& shard, Tenant& tenant,
-                           const trace::TraceBundle& bundle,
-                           std::uint64_t id) {
-  {
-    std::unique_lock lock(shard.mutex);
-    shard.room.wait(lock, [&] {
-      return shard.stop || shard.queue.size() < options_.queue_capacity;
-    });
-    require(!shard.stop, "FleetService: submit after close()");
-    tenant.submitted.fetch_add(1, std::memory_order_relaxed);
-    shard.queue.push_back(Item{&tenant, id, bundle});
-    shard.queue_peak = std::max(shard.queue_peak, shard.queue.size());
-  }
-  shard.arrived.notify_one();
-}
-
 std::uint64_t FleetService::submit(const AppKey& app,
                                    const trace::TraceBundle& bundle) {
-  Tenant& tenant = ensure_tenant(app);
-  const std::size_t shard_index =
-      router_.route(app, bundle.fleet_key(), tenant.hot);
-  const std::uint64_t id =
-      next_submission_.fetch_add(1, std::memory_order_relaxed);
-  enqueue(*shards_[shard_index], tenant, bundle, id);
-  return id;
+  return submit_batch(app, std::span(&bundle, 1)).front();
 }
 
 std::vector<std::uint64_t> FleetService::submit_batch(
     const AppKey& app, std::span<const trace::TraceBundle> bundles) {
   Tenant& tenant = ensure_tenant(app);
-  std::vector<std::uint64_t> ids(bundles.size(), 0);
-  // One routing pass, then one lock acquisition per touched shard.  A
-  // user's bundles always land in the same bucket (same key -> same
-  // shard), and a bucket preserves span order, so per-user order holds.
-  std::vector<std::vector<std::size_t>> buckets(shards_.size());
-  for (std::size_t i = 0; i < bundles.size(); ++i) {
-    buckets[router_.route(app, bundles[i].fleet_key(), tenant.hot)]
-        .push_back(i);
+  Shard& shard = *shards_[tenant.shard];
+  // Copy the uploads before taking the shard lock: the worker needs that
+  // lock to drain the queue.  Under it, only wait for room, assign ids
+  // and move the items in, in span order.
+  std::vector<Item> items;
+  items.reserve(bundles.size());
+  for (const trace::TraceBundle& bundle : bundles) {
+    items.push_back(Item{&tenant, 0, bundle});
   }
-  for (std::size_t s = 0; s < buckets.size(); ++s) {
-    if (buckets[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    {
-      std::unique_lock lock(shard.mutex);
-      for (const std::size_t i : buckets[s]) {
+  std::vector<std::uint64_t> ids(items.size(), 0);
+  {
+    std::unique_lock lock(shard.mutex);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (shard.queue.size() >= options_.queue_capacity) {
+        // A batch longer than the free room must wake the worker before
+        // waiting for it, or both would wait on each other.
+        shard.arrived.notify_one();
         shard.room.wait(lock, [&] {
           return shard.stop || shard.queue.size() < options_.queue_capacity;
         });
-        require(!shard.stop, "FleetService: submit after close()");
-        ids[i] = next_submission_.fetch_add(1, std::memory_order_relaxed);
-        tenant.submitted.fetch_add(1, std::memory_order_relaxed);
-        shard.queue.push_back(Item{&tenant, ids[i], bundles[i]});
-        shard.queue_peak = std::max(shard.queue_peak, shard.queue.size());
       }
+      require(!shard.stop, "FleetService: submit after close()");
+      ids[i] = next_submission_.fetch_add(1, std::memory_order_relaxed);
+      items[i].id = ids[i];
+      tenant.submitted.fetch_add(1, std::memory_order_relaxed);
+      shard.queue.push_back(std::move(items[i]));
+      shard.queue_peak = std::max(shard.queue_peak, shard.queue.size());
     }
-    shard.arrived.notify_one();
   }
+  shard.arrived.notify_one();
   return ids;
 }
 
@@ -355,40 +340,26 @@ void FleetService::worker_loop(Shard& shard) {
 }
 
 void FleetService::process_batch(Shard& shard, std::vector<Item>& batch) {
-  // Step 1 — the expensive per-trace power join — for the whole batch,
-  // fanned across the shard's private pool.  Results are slot-indexed,
-  // so the parallel join commits in exactly the queue order below.
-  std::vector<core::AnalyzedTrace>& analyzed = shard.scratch_analyzed;
-  analyzed.clear();
-  analyzed.resize(batch.size());
-  const auto join = [&](std::size_t i) {
-    analyzed[i] = core::estimate_event_power(batch[i].bundle);
-  };
-  if (shard.step1_pool.has_value() && batch.size() > 1) {
-    shard.step1_pool->parallel_for(0, batch.size(), join);
-  } else {
-    for (std::size_t i = 0; i < batch.size(); ++i) join(i);
-  }
-
-  // Apply in queue order under each tenant's apply mutex: analyzer
-  // arrival, applied-log entry, and the shard store's group-commit
-  // queue move together, so the durable order equals the applied order.
+  // In queue order: Step 1 (the power join) outside every lock, then the
+  // analyzer arrival, applied-log entry and store append together under
+  // the tenant's apply mutex, so the durable order equals the applied
+  // order.
   std::vector<Tenant*>& touched = shard.scratch_touched;
   touched.clear();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Item& item = batch[i];
+  for (Item& item : batch) {
     Tenant& tenant = *item.tenant;
+    core::AnalyzedTrace analyzed = core::estimate_event_power(item.bundle);
     {
       std::lock_guard lock(tenant.apply_mutex);
       if (shard.store != nullptr) {
-        store::TenantId& id = tenant.store_ids[shard.index];
-        if (id == store::kInvalidTenant) {
-          id = shard.store->ensure_tenant(tenant.key);
+        if (tenant.store_id == store::kInvalidTenant) {
+          tenant.store_id = shard.store->ensure_tenant(tenant.key);
         }
-        const std::uint64_t seq = shard.store->append_async(id, item.bundle);
-        tenant.store_seq.store(seq, std::memory_order_relaxed);
+        tenant.store_seq.store(
+            shard.store->append_async(tenant.store_id, item.bundle),
+            std::memory_order_relaxed);
       }
-      tenant.analyzer.add_analyzed(std::move(analyzed[i]));
+      tenant.analyzer.add_analyzed(std::move(analyzed));
       tenant.applied_log.push_back(item.id);
       tenant.applied.store(tenant.analyzer.arrivals(),
                            std::memory_order_relaxed);
@@ -398,26 +369,15 @@ void FleetService::process_batch(Shard& shard, std::vector<Item>& batch) {
     }
   }
 
-  // One epoch publication per touched tenant, fanned across the shard's
-  // pool — the snapshot recompute is the serial tail of a multi-tenant
-  // drain once the fsync below is shared.  Each publish still runs
-  // under its tenant's apply mutex, so epochs stay monotone even for a
-  // hot tenant two shards publish concurrently.
-  const auto publish_one = [&](std::size_t t) {
-    Tenant& tenant = *touched[t];
-    std::lock_guard lock(tenant.apply_mutex);
-    publish_locked(tenant);
-  };
-  if (shard.step1_pool.has_value() && touched.size() > 1) {
-    shard.step1_pool->parallel_for(0, touched.size(), publish_one);
-  } else {
-    for (std::size_t t = 0; t < touched.size(); ++t) publish_one(t);
+  // One epoch publication per touched tenant, not per arrival.
+  for (Tenant* tenant : touched) {
+    std::lock_guard lock(tenant->apply_mutex);
+    publish_locked(*tenant);
   }
 
-  // ONE durability sync for the whole batch — every touched tenant's
-  // records share this shard's WAL, so a K-tenant batch costs one
-  // fdatasync, not K.  (flush runs outside every apply mutex: appliers
-  // on other shards are not held up by this shard's fsync.)
+  // ONE flush for the whole batch: every touched tenant's records share
+  // this shard's WAL.  It runs outside every apply mutex, so
+  // applied_log() readers do not wait on the disk.
   if (shard.store != nullptr) shard.store->flush();
 }
 
@@ -500,7 +460,6 @@ AppServiceStats FleetService::tenant_row(const AppKey& key,
                                          const Tenant& tenant) {
   AppServiceStats row;
   row.app = key;
-  row.hot = tenant.hot;
   row.submitted = tenant.submitted.load(std::memory_order_relaxed);
   row.applied = tenant.applied.load(std::memory_order_relaxed);
   row.epoch = tenant.epoch.load(std::memory_order_relaxed);

@@ -11,11 +11,12 @@
 //   open(app)                 registers a tenant (idempotent); stored
 //                             tenants are recovered at construction,
 //                             before the first open();
-//   submit(app, bundle)       routes the arrival to its ingest shard and
-//                             returns a submission id once queued
+//   submit(app, bundle)       queues the arrival on the app's home shard
+//                             and returns a submission id once queued
 //                             (backpressure: blocks while the shard
 //                             queue is at capacity);
-//   submit_batch(app, span)   same, one routing pass for a whole batch;
+//   submit_batch(app, span)   same for a whole batch, queued in span
+//                             order (submit is a batch of one);
 //   snapshot(app)             the current epoch's immutable
 //                             SnapshotImage-backed FleetSnapshot —
 //                             lock-free, never blocks on writers;
@@ -25,37 +26,28 @@
 //                             the call is applied AND published (the
 //                             test/shutdown barrier).
 //
-// Ingest pipeline (per shard, one worker thread each — the PR-7
-// group-commit MPSC idiom lifted from the WAL writer to the analysis
-// layer):
+// Sharding: every app has one home shard, home_shard(app, shards) —
+// FNV-1a 64 of the key mod the shard count — and all of its uploads go
+// there.  Each shard has one worker thread, so the shard count is the
+// service's one parallelism knob: tenants on different shards ingest in
+// parallel, and one tenant's arrivals apply in its queue order.
+//
+// Ingest pipeline (per shard — the group-commit MPSC idiom lifted from
+// the WAL writer to the analysis layer):
 //
 //   submit -> [bounded MPSC queue] -> worker drains the whole queue as
-//   one batch -> Step 1 (the expensive power join) for every queued
-//   bundle, fanned across the shard's private ThreadPool -> results
-//   applied in queue order to each tenant's FleetAnalyzer under that
-//   tenant's apply mutex (and appended, tenant-tagged, to the SHARD's
-//   store) -> one epoch publication per touched tenant, fanned across
-//   the same pool -> ONE store flush for the whole batch.
+//   one batch -> for each bundle in queue order: Step 1 (the power
+//   join), then apply to its tenant's FleetAnalyzer under that tenant's
+//   apply mutex (and append, tenant-tagged, to the shard's store) ->
+//   one epoch publication per touched tenant -> ONE store flush for the
+//   whole batch.
 //
 // Batching is what makes the economics work: N arrivals in a burst cost
-// one queue hand-off each but only ONE snapshot recompute per tenant
-// and — because the shard's tenants share one ShardStore WAL — ONE
-// fdatasync per shard per drain, no matter how many tenants the batch
-// touched.  Before the partitioned store each touched tenant paid its
-// own fsync, so multi-tenant ingest throughput fell off linearly in
-// tenant count; now it is roughly flat.  The per-batch working set
-// (Step-1 slots, the touched list, encode buffers inside the store) is
-// pooled and reused across batches, so a warmed-up drain loop stays off
-// the allocator.
-//
-// Sharding (service/shard_router.h): an app's arrivals land on its home
-// shard — hash(app) mod shards — so per-app arrival order is queue
-// order.  Apps listed in ServiceOptions::hot_apps additionally fan out
-// across hot_fanout consecutive shards by fleet-key range; a given
-// user's re-uploads still serialize on one shard, and cross-user
-// interleaving commutes in the report (the fleet is a per-user
-// last-write map), so the published snapshot remains byte-identical to
-// a single-threaded batch run over the applied order.
+// one queue hand-off each but only ONE snapshot recompute per tenant,
+// and because the shard's tenants share one ShardStore WAL, the batch's
+// durability wait is one flush() however many tenants it touched.  The
+// per-batch working set (the touched list, encode buffers inside the
+// store) is reused across batches.
 //
 // Publication (service/epoch.h): workers build each snapshot off to the
 // side (FleetAnalyzer::publish) and swap it in with one atomic
@@ -80,14 +72,13 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/fleet_analyzer.h"
 #include "service/epoch.h"
-#include "service/shard_router.h"
 #include "store/shard_store.h"
 
 namespace edx::service {
@@ -95,26 +86,23 @@ namespace edx::service {
 /// Tenant key: the app's stable identifier (package name, catalog id...).
 using AppKey = std::string;
 
+/// The shard every upload of `app` goes to: FNV-1a 64 over the key bytes,
+/// mod `shards`.  A store root's records sit on these shards, so the
+/// function must never change.  Throws InvalidArgument when shards is 0.
+std::size_t home_shard(std::string_view app, std::size_t shards);
+
 /// How the service runs.  The defaults suit tests and a small host; a
 /// real deployment tunes shards/queue depth to core count and burst
 /// size.
 struct ServiceOptions {
-  /// Ingest shards (each with one worker thread).  0 = one per hardware
-  /// thread, capped at 4.
+  /// Ingest shards, each with one worker thread — the service's one
+  /// parallelism knob.  0 = one per hardware thread, capped at 4.
   std::size_t num_shards{0};
-  /// Threads of each shard's private Step-1 pool.  1 = join inline on
-  /// the worker (the default; shard-level parallelism usually
-  /// saturates first).
-  std::size_t step1_threads{1};
   /// Per-shard queue bound: submit() blocks once a shard holds this
   /// many undrained bundles.  Also bounds snapshot staleness — a reader
   /// can lag the submitted count by at most queue_capacity + one
   /// in-flight batch per shard.
   std::size_t queue_capacity{1024};
-  /// Apps in hot_apps fan out across this many consecutive shards by
-  /// fleet-key range (see ShardRouter); <= 1 disables fan-out.
-  std::size_t hot_fanout{1};
-  std::vector<AppKey> hot_apps;
   /// Per-tenant analysis config.  num_threads 0 (the AnalysisConfig
   /// default, "one per core") is overridden to 1: the service
   /// parallelizes across shards, not inside one tenant's snapshot.
@@ -127,9 +115,10 @@ struct ServiceOptions {
   /// tenant-tagged ShardStore per ingest shard at <store_root>/shard-<i>,
   /// with the shard count pinned by <store_root>/layout.edx.  All
   /// tenants are recovered at construction; a root in an old on-disk
-  /// format is refused with an Error, never migrated.  num_shards 0
-  /// adopts an existing layout's count; a non-zero num_shards that
-  /// contradicts the layout is an error.
+  /// format is refused with an Error, never migrated, and so is a root
+  /// where a tenant has records on a shard other than its home shard.
+  /// num_shards 0 adopts an existing layout's count; a non-zero
+  /// num_shards that contradicts the layout is an error.
   std::string store_root;
   store::StoreOptions store;
 };
@@ -158,15 +147,13 @@ struct ReportOptions {
 /// stats() — one row per tenant plus service-wide ingest counters.
 struct AppServiceStats {
   AppKey app;
-  bool hot{false};
   std::uint64_t submitted{0};   ///< accepted by submit()
   std::uint64_t applied{0};     ///< applied to the analyzer
   std::uint64_t epoch{0};       ///< publications so far
   std::uint64_t published_arrivals{0};  ///< arrivals of the live epoch
   std::size_t fleet_size{0};    ///< distinct users in the live epoch
-  /// Shard-store sequence of the tenant's newest durable record (its
-  /// home shard's sequence space; the last writing shard's for a hot
-  /// app).  0 when the service has no store.
+  /// Shard-store sequence of the tenant's newest durable record, in its
+  /// home shard's sequence space.  0 when the service has no store.
   std::uint64_t store_last_seq{0};
 };
 
@@ -176,8 +163,11 @@ struct ServiceStats {
   std::uint64_t submitted{0};
   std::uint64_t batches{0};     ///< worker drains that did work
   std::size_t queue_peak{0};    ///< max bundles seen in any one queue
-  /// Total fdatasync calls across every shard store — the group-commit
-  /// receipt: bounded by batches x shards, NOT by touched tenants.
+  /// Total fdatasync calls across every shard store.  Each store's WAL
+  /// writer syncs per drain of its own queue (kAlways), per group window
+  /// (kGroup) and per segment seal, so one service batch whose appends
+  /// reach the writer in several drains costs several syncs.  The count
+  /// does not grow with the tenants a batch touches.
   std::uint64_t store_fsyncs{0};
   std::vector<AppServiceStats> per_app;  ///< sorted by app key
 };
@@ -199,7 +189,6 @@ class FleetService {
   void close();
 
   [[nodiscard]] const ServiceOptions& options() const { return options_; }
-  [[nodiscard]] const ShardRouter& router() const { return router_; }
 
   /// Registers `app` (idempotent).  Stored tenants are recovered at
   /// construction — a recovered non-empty fleet publishes its snapshot
@@ -212,8 +201,8 @@ class FleetService {
   /// Thread-safe; arrivals from one thread to one app keep their order.
   std::uint64_t submit(const AppKey& app, const trace::TraceBundle& bundle);
 
-  /// submit() for a whole batch with one routing pass; ids are returned
-  /// in `bundles` order and per-user order is preserved.
+  /// submit() for a whole batch: the bundles are queued in span order
+  /// and their ids are returned in that order.
   std::vector<std::uint64_t> submit_batch(
       const AppKey& app, std::span<const trace::TraceBundle> bundles);
 
@@ -251,18 +240,19 @@ class FleetService {
       const AppKey& app) const;
 
  private:
-  /// One registered app: analyzer + per-shard store ids + publication
+  /// One registered app: home shard + analyzer + store id + publication
   /// slot.
   struct Tenant;
-  /// One ingest lane: queue + worker + private Step-1 pool + the
-  /// shard's partition of the store.
+  /// One ingest shard: queue + worker + the shard's partition of the
+  /// store.
   struct Shard;
   /// One queued arrival.
   struct Item;
 
   Tenant& ensure_tenant(const AppKey& app);
   /// Construction-time store bring-up: opens (or creates) the
-  /// partitioned root and warm-starts every stored tenant.
+  /// partitioned root, refuses a tenant stored off its home shard, and
+  /// warm-starts every stored tenant.
   void open_stores();
   [[nodiscard]] const Tenant* find_tenant(const AppKey& app) const;
   /// Builds one stats row from a tenant's counters (callers hold no
@@ -273,11 +263,8 @@ class FleetService {
   void publish_locked(Tenant& tenant);
   void worker_loop(Shard& shard);
   void process_batch(Shard& shard, std::vector<Item>& batch);
-  void enqueue(Shard& shard, Tenant& tenant,
-               const trace::TraceBundle& bundle, std::uint64_t id);
 
   ServiceOptions options_;
-  ShardRouter router_;
 
   mutable std::shared_mutex tenants_mutex_;
   /// Values are pointer-stable across rehash (workers hold Tenant*).

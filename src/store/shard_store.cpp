@@ -639,19 +639,33 @@ ShardStore ShardStore::open(const std::string& directory,
       st.recovery.manifest_note =
           "corrupt manifest; recovered from directory scan";
     } else {
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> actual;
-      for (const SealedSegment& sealed : st.sealed) {
-        actual.emplace_back(sealed.base_seq, sealed.last_seq);
+      // Sealed segments compare by base: a tear lowers a scan's last
+      // valid seq below the manifest's, and that is the scan stopping
+      // short, not the manifest lagging.
+      std::vector<std::uint64_t> listed, found;
+      for (const auto& sealed : manifest->sealed) {
+        listed.push_back(sealed.first);
       }
+      for (const SealedSegment& sealed : st.sealed) {
+        found.push_back(sealed.base_seq);
+      }
+      const auto torn_sealed = std::find_if(
+          scans.begin(), scans.end(), [](const SegmentScan& scan) {
+            return scan.stats.sealed && scan.stats.torn;
+          });
       if (manifest->snapshot_seq != st.recovery.snapshot_seq) {
         st.recovery.manifest_ok = false;
         st.recovery.manifest_note =
             "manifest snapshot seq disagrees with newest valid snapshot";
-      } else if (manifest->sealed != actual ||
-                 manifest->active_base != st.active_base) {
+      } else if (listed != found || manifest->active_base != st.active_base) {
         st.recovery.manifest_ok = false;
         st.recovery.manifest_note =
             "manifest is stale (behind the directory scan)";
+      } else if (torn_sealed != scans.end()) {
+        st.recovery.manifest_ok = false;
+        st.recovery.manifest_note =
+            "the directory scan stopped at torn sealed segment " +
+            torn_sealed->stats.file + "; the manifest lists it in full";
       }
     }
   } else if (!segments.empty()) {

@@ -25,7 +25,6 @@
 #include "loadgen/workload_spec.h"
 #include "power/calibration.h"
 #include "service/fleet_service.h"
-#include "service/shard_router.h"
 #include "store/shard_store.h"
 #include "workload/catalog.h"
 #include "workload/experiment.h"
@@ -350,13 +349,6 @@ store::FsyncPolicy parse_fsync_policy(const std::string& text,
       text + "')");
 }
 
-/// The shard a non-hot tenant's uploads all land on, as a serving
-/// FleetService routes them.
-std::size_t home_shard(const std::string& tenant, std::size_t shard_count) {
-  return service::ShardRouter(shard_count, 1)
-      .route(tenant, /*fleet_key=*/0, false);
-}
-
 /// `key`'s row of the store's tenants(); a default row when it has none.
 store::TenantInfo stored_tenant(const store::ShardStore& shard_store,
                                 const std::string& key) {
@@ -371,7 +363,8 @@ int analyze_store(const std::string& root, const AnalyzeOptions& options,
   const store::RootInfo info = store::inspect_root(root);
   const std::string home =
       info.kind == store::RootKind::kPartitioned
-          ? store::shard_dir(root, home_shard(kDefaultTenant, info.shard_count))
+          ? store::shard_dir(
+                root, service::home_shard(kDefaultTenant, info.shard_count))
           : std::string();
   if (home.empty() || !fs::is_directory(home)) {
     throw AnalysisError("store at " + root + " holds no bundles");
@@ -484,11 +477,12 @@ int cmd_ingest(const IngestOptions& options, std::ostream& out) {
     fs::create_directories(root);
     store::write_layout(root, shard_count);
   }
-  // A non-hot tenant's bundles all land on its home shard, so only that
-  // one shard store is opened and written.  Queue asynchronously and make
-  // the whole batch durable with one flush(): the group-commit writer
-  // packs everything into large writes.
-  const std::size_t home = home_shard(tenant, shard_count);
+  // A tenant's bundles all land on its home shard, as a serving
+  // FleetService routes them, so only that one shard store is opened and
+  // written.  Queue asynchronously and make the whole batch durable with
+  // one flush(): the group-commit writer packs everything into large
+  // writes.
+  const std::size_t home = service::home_shard(tenant, shard_count);
   store::ShardStore shard_store =
       store::ShardStore::open(store::shard_dir(root, home), store_options);
   const store::TenantId id = shard_store.ensure_tenant(tenant);
@@ -791,13 +785,6 @@ int cmd_serve(const ServeOptions& options, std::ostream& out) {
       build_service_load(options.app_ids, options.users, options.seed);
   service::ServiceOptions service_options;
   service_options.num_shards = options.shards;
-  service_options.step1_threads = options.step1_threads;
-  service_options.hot_fanout = options.hot_fanout;
-  if (options.hot_fanout > 1) {
-    for (const AppLoad& load : loads) {
-      service_options.hot_apps.push_back(load.key);
-    }
-  }
   service_options.store_root = options.store_root;
   service_options.store.fsync_policy = parse_fsync_policy(
       options.fsync_policy, service_options.store.group_window_us);
@@ -871,14 +858,6 @@ int cmd_loadgen(const LoadgenOptions& options, std::ostream& out) {
   service::ServiceOptions service_options;
   service_options.num_shards = options.shards;
   service_options.store_root = options.store_root;
-  if (spec.hot_apps > 0) {
-    // The spec's hot tenants fan out in the service too, matching the
-    // skewed traffic they receive.
-    service_options.hot_fanout = 2;
-    for (std::size_t a = 0; a < spec.hot_apps; ++a) {
-      service_options.hot_apps.push_back(loadgen::app_key(a));
-    }
-  }
   service::FleetService fleet_service(service_options);
 
   const loadgen::LoadReport report =
@@ -936,7 +915,7 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
            "gen-training <device> <out.csv> [--levels N] [--noise F] | "
            "calibrate <samples.csv> <name> | "
            "serve --apps ID[,ID,...] [--users N] [--seed S] [--shards N] "
-           "[--writers N] [--threads N] [--hot-fanout N] [--store-root DIR] "
+           "[--writers N] [--store-root DIR] "
            "[--fsync-policy always|group|group:<us>|none] "
            "[--segment-bytes N] [--compress] "
            "[--reported-fraction F] [--json] | "
@@ -1089,8 +1068,7 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
   if (command == "serve") {
     FlagSet flags("serve", rest,
                   {"--apps", "--users", "--seed", "--shards", "--writers",
-                   "--threads", "--hot-fanout", "--store-root",
-                   "--fsync-policy", "--segment-bytes",
+                   "--store-root", "--fsync-policy", "--segment-bytes",
                    "--reported-fraction"},
                   {"--json", "--compress"});
     flags.reject_extra_positionals(0, "--apps ID[,ID,...]");
@@ -1105,10 +1083,6 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
         to_int(flags.value("--shards").value_or("0"), "--shards", 0, 4096));
     options.writers = static_cast<std::size_t>(to_int(
         flags.value("--writers").value_or("1"), "--writers", 1, 4096));
-    options.step1_threads = static_cast<std::size_t>(
-        to_int(flags.value("--threads").value_or("1"), "--threads", 0, 4096));
-    options.hot_fanout = static_cast<std::size_t>(to_int(
-        flags.value("--hot-fanout").value_or("1"), "--hot-fanout", 1, 4096));
     if (const auto fraction = flags.value("--reported-fraction")) {
       options.reported_fraction =
           to_double(*fraction, "--reported-fraction");

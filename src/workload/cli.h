@@ -17,8 +17,7 @@
 //   energydx gen-training <builtin-device> <out.csv> [--levels N] [--noise F]
 //   energydx calibrate <samples.csv> <device-name>
 //   energydx serve --apps ID[,ID,...] [--users N] [--seed S] [--shards N]
-//                  [--writers N] [--threads N] [--hot-fanout N]
-//                  [--store-root DIR]
+//                  [--writers N] [--store-root DIR]
 //                  [--fsync-policy always|group|group:<us>|none]
 //                  [--segment-bytes N] [--compress]
 //                  [--reported-fraction F] [--json]
@@ -37,16 +36,16 @@
 //
 // `serve` runs the multi-tenant service/fleet_service.h end to end:
 // one simulated population per catalog app in --apps, submitted through
-// --writers concurrent threads onto --shards ingest shards, then (after
-// a drain barrier) one diagnosis report per app.  The report body is
-// byte-identical to `analyze` over the same population — the service's
-// equivalence contract.  --hot-fanout > 1 marks every app hot (fleet-key
-// range fan-out); --store-root makes the service durable over a
-// PARTITIONED store — one tenant-tagged ShardStore per ingest shard at
-// <root>/shard-<i> (shard count pinned by <root>/layout.edx), so a
-// multi-tenant ingest batch costs one fsync per shard, not one per
-// tenant; --fsync-policy/--segment-bytes/--compress tune those stores
-// exactly as they tune ingest's.
+// --writers concurrent threads onto --shards ingest shards (each app's
+// uploads on its home shard), then (after a drain barrier) one diagnosis
+// report per app.  The report body is byte-identical to `analyze` over
+// the same population — the service's equivalence contract.
+// --store-root makes the service durable over a PARTITIONED store — one
+// tenant-tagged ShardStore per ingest shard at <root>/shard-<i> (shard
+// count pinned by <root>/layout.edx), so a multi-tenant ingest batch
+// waits on one flush() per shard, not one per tenant;
+// --fsync-policy/--segment-bytes/--compress tune those stores exactly as
+// they tune ingest's.
 //
 // `loadgen` is the declarative SLO harness (src/loadgen/): a
 // WorkloadSpec — a built-in mix from the WorkloadFactory (--workload
@@ -236,11 +235,6 @@ struct ServeOptions {
   std::size_t shards{0};
   /// Concurrent writer threads splitting the interleaved arrival stream.
   std::size_t writers{1};
-  /// > 1 marks every app hot and fans its fleet keys over this many
-  /// consecutive shards.
-  std::size_t hot_fanout{1};
-  /// Per-shard Step-1 pool width (1 = join inline on the worker).
-  std::size_t step1_threads{1};
   /// Fixed developer-reported fraction; absent = self-estimate (the
   /// analyze default).
   std::optional<double> reported_fraction;

@@ -24,6 +24,7 @@
 #include "loadgen/op_stream.h"
 #include "loadgen/workload_factory.h"
 #include "service/fleet_service.h"
+#include "support/temp_root.h"
 
 namespace edx::loadgen {
 namespace {
@@ -248,7 +249,7 @@ TEST(LoadgenDeterminism, ManyTenantsThroughPartitionedStoreRoundTrips) {
   spec.validate();
 
   const std::string root =
-      ::testing::TempDir() + "/edx_loadgen_many_tenants";
+      edx::test::temp_root() + "/edx_loadgen_many_tenants";
   std::filesystem::remove_all(root);
 
   service::ServiceOptions service_options;

@@ -10,6 +10,7 @@
 
 #include "common/error.h"
 #include "loadgen/workload_factory.h"
+#include "support/temp_root.h"
 #include "workload/cli.h"
 
 namespace edx::loadgen {
@@ -142,7 +143,7 @@ TEST(WorkloadSpec, ParseErrorsCiteSourceAndLine) {
 
 TEST(WorkloadSpec, MalformedSpecFileExitsThree) {
   // The CLI contract from ISSUE 9: every spec parse error is exit 3.
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = edx::test::temp_root();
   const std::string path = dir + "/broken.workload";
   {
     std::ofstream out(path);

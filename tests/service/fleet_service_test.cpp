@@ -1,5 +1,5 @@
 // FleetService's equivalence contract: every published snapshot —
-// whatever the shard count, writer count, or fan-out — is byte-identical
+// whatever the shard count or writer count — is byte-identical
 // (rendered text + JSON) to a single-threaded batch
 // ManifestationAnalyzer run over the tenant's applied arrival prefix,
 // with per-user last-write-wins on re-uploads.  See
@@ -26,6 +26,7 @@
 #include "core/pipeline.h"
 #include "core/report_io.h"
 #include "store/shard_store.h"
+#include "support/temp_root.h"
 
 namespace edx::service {
 namespace {
@@ -235,48 +236,6 @@ TEST(FleetServiceTest, MultiAppConcurrentWritersMatchAppliedOrderBatch) {
   }
 }
 
-TEST(FleetServiceTest, HotFanoutKeepsPerUserOrderAndMatchesBatch) {
-  ServiceOptions options = make_options(4);
-  options.hot_fanout = 4;
-  options.hot_apps = {"hot"};
-  FleetService service(options);
-
-  std::vector<trace::TraceBundle> arrivals;
-  for (int pass = 0; pass < 3; ++pass) {
-    for (UserId user = 0; user < 8; ++user) {
-      arrivals.push_back(
-          make_trace(user, /*with_abd=*/(user + pass) % 3 == 0, pass));
-    }
-  }
-  std::map<std::uint64_t, std::size_t> index_of;
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    index_of[service.submit("hot", arrivals[i])] = i;
-  }
-  service.drain();
-
-  // Fan-out may interleave different users, but each user's three
-  // uploads must apply in submission order (same key -> same shard).
-  const std::vector<std::uint64_t> log = service.applied_log("hot");
-  ASSERT_EQ(log.size(), arrivals.size());
-  std::map<UserId, std::size_t> last_seen;
-  std::vector<trace::TraceBundle> applied;
-  for (const std::uint64_t id : log) {
-    const std::size_t index = index_of.at(id);
-    const UserId user = arrivals[index].fleet_key();
-    if (last_seen.count(user)) {
-      EXPECT_GT(index, last_seen[user]);
-    }
-    last_seen[user] = index;
-    applied.push_back(arrivals[index]);
-  }
-
-  const auto snap = service.snapshot("hot");
-  ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(snap->image->fleet_size, 8u);
-  EXPECT_EQ(render_image(*snap->image),
-            batch_reference(applied, make_config(), /*self_estimate=*/false));
-}
-
 TEST(FleetServiceTest, SubmitBatchMatchesPerBundleSubmits) {
   std::vector<trace::TraceBundle> arrivals;
   for (UserId user = 0; user < 7; ++user) {
@@ -299,9 +258,27 @@ TEST(FleetServiceTest, SubmitBatchMatchesPerBundleSubmits) {
             render_image(*single_service.snapshot("app")->image));
 }
 
+TEST(FleetServiceTest, SubmitBatchLongerThanTheQueueDoesNotStall) {
+  // A batch longer than queue_capacity must wake the worker before it
+  // waits for room: the span is queued in order and applied in full.
+  ServiceOptions options = make_options(1);
+  options.queue_capacity = 3;
+  FleetService service(options);
+  std::vector<trace::TraceBundle> arrivals;
+  for (UserId user = 0; user < 10; ++user) {
+    arrivals.push_back(make_trace(user, /*with_abd=*/user % 3 == 0));
+  }
+  const std::vector<std::uint64_t> ids = service.submit_batch("app", arrivals);
+  service.drain();
+  EXPECT_EQ(service.applied_log("app"), ids);
+  EXPECT_LE(service.stats().queue_peak, 3u);
+  EXPECT_EQ(render_image(*service.snapshot("app")->image),
+            batch_reference(arrivals, make_config(), /*self_estimate=*/false));
+}
+
 TEST(FleetServiceTest, StoreBackedTenantRecoversAndPublishesOnOpen) {
   const std::string root =
-      ::testing::TempDir() + "/edx_service_store_recovery";
+      edx::test::temp_root() + "/edx_service_store_recovery";
   fs::remove_all(root);
 
   std::vector<trace::TraceBundle> first, second;
@@ -385,7 +362,7 @@ TEST(FleetServiceTest, PartitionedRootRestartIsByteIdenticalAcrossShards) {
   }
   for (std::size_t shards : {1u, 2u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    const std::string root = ::testing::TempDir() +
+    const std::string root = edx::test::temp_root() +
                              "/edx_service_partitioned_" +
                              std::to_string(shards);
     fs::remove_all(root);
@@ -443,7 +420,7 @@ TEST(FleetServiceTest, PartitionedRootRestartIsByteIdenticalAcrossShards) {
 }
 
 TEST(FleetServiceTest, GroupCommitCostsOneFsyncPerDrainNotPerTenant) {
-  const std::string root = ::testing::TempDir() + "/edx_service_groupcommit";
+  const std::string root = edx::test::temp_root() + "/edx_service_groupcommit";
   fs::remove_all(root);
   ServiceOptions options = make_options(1);
   options.store_root = root;
@@ -476,7 +453,7 @@ TEST(FleetServiceTest, GroupCommitCostsOneFsyncPerDrainNotPerTenant) {
 }
 
 TEST(FleetServiceTest, TornMixedTenantWalTailRecoversAppliedPrefix) {
-  const std::string root = ::testing::TempDir() + "/edx_service_torntail";
+  const std::string root = edx::test::temp_root() + "/edx_service_torntail";
   fs::remove_all(root);
   ServiceOptions options = make_options(1);
   options.store_root = root;
@@ -553,7 +530,7 @@ void expect_service_refuses(const ServiceOptions& options,
 TEST(FleetServiceTest, LegacyPerTenantRootIsRefusedUntouched) {
   // The retired pre-partition layout: one store directory per tenant.
   // It is refused with a re-ingest error, never migrated.
-  const std::string root = ::testing::TempDir() + "/edx_service_legacy";
+  const std::string root = edx::test::temp_root() + "/edx_service_legacy";
   fs::remove_all(root);
   for (const std::string tenant : {"mail", "maps"}) {
     fs::create_directories(root + "/" + tenant);
@@ -569,7 +546,7 @@ TEST(FleetServiceTest, LegacyPerTenantRootIsRefusedUntouched) {
 TEST(FleetServiceTest, OldFormatShardIsRefusedUntouched) {
   // An old single-tenant store sitting where a shard store belongs: the
   // header scan must refuse it, not truncate it to a fresh header.
-  const std::string root = ::testing::TempDir() + "/edx_service_oldshard";
+  const std::string root = edx::test::temp_root() + "/edx_service_oldshard";
   fs::remove_all(root);
   fs::create_directories(store::shard_dir(root, 0));
   write_file(store::shard_dir(root, 0) + "/wal-1.edx", kOldSegment);
@@ -579,7 +556,7 @@ TEST(FleetServiceTest, OldFormatShardIsRefusedUntouched) {
 
   // Separately: a current root whose shard holds an old-format snapshot.
   const std::string snap_root =
-      ::testing::TempDir() + "/edx_service_oldsnap";
+      edx::test::temp_root() + "/edx_service_oldsnap";
   fs::remove_all(snap_root);
   options.store_root = snap_root;
   {
@@ -594,7 +571,7 @@ TEST(FleetServiceTest, OldFormatShardIsRefusedUntouched) {
 }
 
 TEST(FleetServiceTest, PartitionedRootRejectsMismatchedShardCount) {
-  const std::string root = ::testing::TempDir() + "/edx_service_mismatch";
+  const std::string root = edx::test::temp_root() + "/edx_service_mismatch";
   fs::remove_all(root);
   ServiceOptions options = make_options(2);
   options.store_root = root;
@@ -610,10 +587,65 @@ TEST(FleetServiceTest, PartitionedRootRejectsMismatchedShardCount) {
   EXPECT_EQ(adopted.options().num_shards, 2u);
 }
 
+TEST(FleetServiceTest, TenantOffItsHomeShardIsRefusedUntouched) {
+  // A root where a tenant has records on a shard other than its home
+  // shard cannot be replayed in order, so the service refuses it with a
+  // re-ingest error and appends nothing.
+  const std::string root = edx::test::temp_root() + "/edx_service_offhome";
+  fs::remove_all(root);
+  ServiceOptions options = make_options(4);
+  options.store_root = root;
+  {
+    FleetService service(options);
+    for (UserId user = 0; user < 4; ++user) {
+      service.submit("mail", make_trace(user, user % 2 == 0));
+      service.submit("podcast", make_trace(user, user % 2 == 1));
+    }
+  }
+  // "mail" lives on shard 0; give it one record on shard 1 as well, the
+  // way a fanned-out writer placed a user's uploads.
+  ASSERT_EQ(home_shard("mail", 4), 0u);
+  {
+    store::ShardStore stray =
+        store::ShardStore::open(store::shard_dir(root, 1));
+    stray.append(stray.ensure_tenant("mail"), make_trace(9, true));
+  }
+  using ShardState =
+      std::pair<std::uint64_t, std::vector<std::pair<std::string,
+                                                     std::uint64_t>>>;
+  const auto shard_states = [&] {
+    std::vector<ShardState> states;
+    for (std::size_t s = 0; s < 4; ++s) {
+      const store::ShardStore shard =
+          store::ShardStore::open(store::shard_dir(root, s));
+      ShardState state{shard.last_seq(), {}};
+      for (const store::TenantInfo& tenant : shard.tenants()) {
+        state.second.emplace_back(tenant.key, tenant.last_seq);
+      }
+      states.push_back(std::move(state));
+    }
+    return states;
+  };
+  const std::vector<ShardState> before = shard_states();
+
+  try {
+    FleetService service(options);
+    ADD_FAILURE() << "a tenant off its home shard was not refused";
+  } catch (const edx::Error& refusal) {
+    const std::string message = refusal.what();
+    EXPECT_NE(message.find("'mail'"), std::string::npos) << message;
+    EXPECT_NE(message.find("on shard-1"), std::string::npos) << message;
+    EXPECT_NE(message.find("home shard is shard-0"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("re-ingest"), std::string::npos) << message;
+  }
+  EXPECT_EQ(shard_states(), before);
+}
+
 TEST(FleetServiceTest, SingleStoreRootIsRejectedWithClearError) {
   // Store files at the top of the root are the retired single-store
   // layout; the service refuses it untouched.
-  const std::string root = ::testing::TempDir() + "/edx_service_singleroot";
+  const std::string root = edx::test::temp_root() + "/edx_service_singleroot";
   fs::remove_all(root);
   fs::create_directories(root);
   write_file(root + "/wal-1.edx", kOldSegment);
@@ -628,7 +660,7 @@ TEST(FleetServiceTest, SingleStoreRootIsRejectedWithClearError) {
 // the FINAL drain must come out of close() (and only be swallowed — with
 // a stderr note — by the destructor), never silently dropped.
 TEST(FleetServiceTest, CloseSurfacesStoreWriterErrorFromFinalDrain) {
-  const std::string root = ::testing::TempDir() + "/edx_service_writererr";
+  const std::string root = edx::test::temp_root() + "/edx_service_writererr";
   fs::remove_all(root);
   ServiceOptions options = make_options(1);
   options.store_root = root;

@@ -21,6 +21,7 @@
 
 #include "core/pipeline.h"
 #include "core/report_io.h"
+#include "support/temp_root.h"
 
 namespace edx::service {
 namespace {
@@ -276,11 +277,10 @@ TEST(ServiceConcurrencyTest, ConcurrentReportsAndStatsStayCoherent) {
 
 TEST(ServiceConcurrencyTest, StoreBackedParallelPublishMatchesBatch) {
   // The partitioned-store drain loop: concurrent writers feed tenants
-  // routed to shared ShardStores while the shard's pool publishes
-  // touched tenants IN PARALLEL (step1_threads > 1) and readers race
-  // snapshot pulls — the TSan target for the group-commit + parallel
-  // publish path.  Restarting afterwards must reproduce the exact final
-  // bytes from the WAL.
+  // that share ShardStores while each shard's worker publishes the
+  // tenants it touched and readers race snapshot pulls — the TSan target
+  // for the group-commit + publish path.  Restarting afterwards must
+  // reproduce the exact final bytes from the WAL.
   namespace fs = std::filesystem;
   const std::vector<AppKey> apps = {"mail", "maps", "podcast"};
   std::vector<std::pair<AppKey, trace::TraceBundle>> stream;
@@ -297,7 +297,7 @@ TEST(ServiceConcurrencyTest, StoreBackedParallelPublishMatchesBatch) {
 
   for (std::size_t shards : {1u, 2u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    const std::string root = ::testing::TempDir() +
+    const std::string root = edx::test::temp_root() +
                              "/edx_concurrency_store_" +
                              std::to_string(shards);
     fs::remove_all(root);
@@ -306,7 +306,6 @@ TEST(ServiceConcurrencyTest, StoreBackedParallelPublishMatchesBatch) {
     options.analysis = make_config();
     options.self_estimate_fraction = false;
     options.store_root = root;
-    options.step1_threads = 4;  // parallel per-tenant publish in the drain
 
     std::map<AppKey, std::string> final_bytes;
     {

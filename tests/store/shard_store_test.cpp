@@ -37,6 +37,7 @@
 #include "core/report_io.h"
 #include "power/tracker.h"
 #include "store/codec.h"
+#include "support/temp_root.h"
 #include "trace/recorder.h"
 
 namespace edx::store {
@@ -45,7 +46,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string temp_store(const std::string& leaf) {
-  const std::string path = ::testing::TempDir() + "/edx_shard_" + leaf;
+  const std::string path = edx::test::temp_root() + "/edx_shard_" + leaf;
   fs::remove_all(path);
   return path;
 }
@@ -589,7 +590,7 @@ TEST(ShardStoreTest, CompressedStoreRoundTripsAndShrinksTheWal) {
 }
 
 TEST(ShardStoreTest, OpenRejectsUnreadableDirectory) {
-  const std::string file_path = ::testing::TempDir() + "/edx_shard_notadir";
+  const std::string file_path = edx::test::temp_root() + "/edx_shard_notadir";
   write_file(file_path, "not a directory");
   EXPECT_THROW(static_cast<void>(ShardStore::open(file_path)), Error);
 }
@@ -692,6 +693,52 @@ TEST(ShardStoreTest, TornSealedSegmentStopsReplayWithoutModifyingIt) {
   }
   expect_fleet_equals(latest_by_user(store.tail_refs(alpha)), alpha_want);
   expect_fleet_equals(latest_by_user(store.tail_refs(beta)), beta_want);
+}
+
+TEST(ShardStoreTest, ManifestNoteTellsATornSealedScanFromAStaleManifest) {
+  const std::string dir = temp_store("manifest_note");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(9);
+  std::string early_manifest;
+  {
+    ShardStore store = ShardStore::open(dir, tiny_segments());
+    const TenantId id = store.ensure_tenant("alpha");
+    early_manifest = read_file(dir + "/manifest.edx");  // no sealed segment
+    for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
+  }
+  const std::vector<std::string> segments = segment_paths(dir);
+  ASSERT_GE(segments.size(), 3u) << "fixture should roll";
+  const std::string manifest = read_file(dir + "/manifest.edx");
+  EXPECT_TRUE(ShardStore::open(dir, tiny_segments()).recovery().manifest_ok);
+
+  // A torn sealed segment lowers its scan's last valid seq; the manifest
+  // that lists the segment in full is right, and the note says where the
+  // scan stopped.
+  const std::string pristine = read_file(segments[1]);
+  std::string mangled = pristine;
+  mangled[mangled.size() / 2] =
+      static_cast<char>(mangled[mangled.size() / 2] ^ 0x08);
+  write_file(segments[1], mangled);
+  {
+    const ShardStore store = ShardStore::open(dir, tiny_segments());
+    EXPECT_FALSE(store.recovery().read_only_reason.empty());
+    EXPECT_FALSE(store.recovery().manifest_ok);
+    const std::string& note = store.recovery().manifest_note;
+    EXPECT_NE(note.find("stopped at torn sealed segment " +
+                        fs::path(segments[1]).filename().string()),
+              std::string::npos)
+        << note;
+    EXPECT_EQ(note.find("stale"), std::string::npos) << note;
+  }
+  EXPECT_EQ(read_file(dir + "/manifest.edx"), manifest)
+      << "a read-only open rewrote the manifest";
+
+  // A manifest from before the later segments existed is still stale.
+  write_file(segments[1], pristine);
+  write_file(dir + "/manifest.edx", early_manifest);
+  const ShardStore store = ShardStore::open(dir, tiny_segments());
+  EXPECT_FALSE(store.recovery().manifest_ok);
+  EXPECT_NE(store.recovery().manifest_note.find("stale"), std::string::npos)
+      << store.recovery().manifest_note;
 }
 
 TEST(ShardStoreTest, RepairedMixedTailAcceptsNewAppends) {
@@ -1298,7 +1345,7 @@ TEST(FleetStoreTest, CompressedStoreRoundTripsAndShrinksTheWal) {
 
 TEST(FleetStoreTest, OpenRejectsUnreadableDirectory) {
   // A root that exists as a *file* cannot hold a home shard directory.
-  const std::string root = ::testing::TempDir() + "/edx_shard_fleet_notadir";
+  const std::string root = edx::test::temp_root() + "/edx_shard_fleet_notadir";
   write_file(root, "not a directory");
   EXPECT_THROW(static_cast<void>(ShardStore::open(shard_dir(root, 0))),
                Error);
@@ -1390,6 +1437,7 @@ TEST(FleetStoreTest, ActiveTailTruncationLeavesSealedSegmentsUntouched) {
 
     const ShardStore store = ShardStore::open(dir, tiny_segments());
     EXPECT_GE(store.recovery().wal_records_replayed, sealed_records);
+    ASSERT_EQ(store.recovery().segments.size(), segments.size());
     for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
       EXPECT_EQ(read_file(segments[i]), sealed_bytes[i])
           << "sealed segment " << segments[i] << " was modified";

@@ -17,6 +17,7 @@
 #include "core/event_power.h"
 #include "power/tracker.h"
 #include "store/shard_store.h"
+#include "support/temp_root.h"
 #include "trace/recorder.h"
 
 namespace edx::store {
@@ -25,7 +26,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string temp_store(const std::string& leaf) {
-  const std::string path = ::testing::TempDir() + "/edx_storec_" + leaf;
+  const std::string path = edx::test::temp_root() + "/edx_storec_" + leaf;
   fs::remove_all(path);
   return path;
 }

@@ -13,6 +13,7 @@
 
 #include "android/apk.h"
 #include "android/apk_builder.h"
+#include "support/temp_root.h"
 #include "workload/catalog.h"
 
 namespace edx::workload::cli {
@@ -21,7 +22,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string temp_dir(const std::string& leaf) {
-  const std::string path = ::testing::TempDir() + "/edx_cli_" + leaf;
+  const std::string path = edx::test::temp_root() + "/edx_cli_" + leaf;
   fs::remove_all(path);
   fs::create_directories(path);
   return path;
@@ -469,6 +470,15 @@ TEST(CliTest, StoreInfoReportsReadOnlyShardAndIngestIsRefused) {
   // The segments after the tear are listed as not replayed.
   EXPECT_NE(info.str().find("sealed, not replayed"), std::string::npos)
       << info.str();
+  // The manifest still lists what was written; it is the scan that
+  // stopped short.
+  const std::string torn_name =
+      fs::path(segments[1].second).filename().string();
+  EXPECT_NE(info.str().find("manifest: the directory scan stopped at torn "
+                            "sealed segment " + torn_name),
+            std::string::npos)
+      << info.str();
+  EXPECT_EQ(info.str().find("stale"), std::string::npos) << info.str();
   std::ostringstream ingest_err;
   EXPECT_EQ(run({"ingest", "--store", store, "--app", "5", "--users", "2"},
                 out, ingest_err),
@@ -578,6 +588,9 @@ TEST(CliTest, ServeUsageErrors) {
   EXPECT_EQ(run({"serve"}, out, err), 2);  // no --apps
   EXPECT_EQ(run({"serve", "--apps", "1,,2"}, out, err), 2);
   EXPECT_EQ(run({"serve", "5"}, out, err), 2);  // positional operand
+  // The shard count is serve's one parallelism flag.
+  EXPECT_EQ(run({"serve", "--apps", "5", "--hot-fanout", "2"}, out, err), 2);
+  EXPECT_EQ(run({"serve", "--apps", "5", "--threads", "2"}, out, err), 2);
 }
 
 TEST(CliTest, IngestTenantBuildsPartitionedRootStoreInfoReadsIt) {
