@@ -21,9 +21,6 @@ FleetAnalyzer::FleetAnalyzer(AnalysisConfig config) : config_(config) {
           "normalize_events: min base power must be positive");
   require(config_.detection.fence_iqr_multiplier >= 0.0,
           "detect_all: fence multiplier must be non-negative");
-  if (common::ThreadPool::resolve_threads(config_.num_threads) > 1) {
-    pool_ = &pool_storage_.emplace(config_.num_threads);
-  }
 }
 
 void FleetAnalyzer::TraceCache::rebuild_index(
@@ -100,16 +97,6 @@ void FleetAnalyzer::add_bundle(const trace::TraceBundle& bundle) {
 
 void FleetAnalyzer::add_analyzed(AnalyzedTrace analyzed) {
   apply_arrival(std::move(analyzed));
-}
-
-void FleetAnalyzer::add_bundles(std::span<const trace::TraceBundle> bundles) {
-  // Step 1 is independent per bundle: join the whole batch on the pool,
-  // then commit in `bundles` order so the fleet state is exactly the
-  // add_bundle()-per-arrival state.
-  std::vector<AnalyzedTrace> analyzed = estimate_event_power(bundles, pool_);
-  for (AnalyzedTrace& trace : analyzed) {
-    apply_arrival(std::move(trace));
-  }
 }
 
 void FleetAnalyzer::apply_arrival(AnalyzedTrace analyzed) {
@@ -293,17 +280,9 @@ void FleetAnalyzer::refresh() {
     }
   }
 
-  // Steps 3+4 on the perturbed traces only.  Each task owns one trace slot
-  // and reads the shared base table, so the parallel path is identical to
-  // the sequential one for any pool size (same argument as detect_all).
-  const std::size_t total = refresh_slots_.size();
-  const auto refresh_one = [this, replaced](std::size_t i) {
+  // Steps 3+4 on the perturbed traces only.
+  for (std::size_t i = 0; i < refresh_slots_.size(); ++i) {
     refresh_slot(refresh_slots_[i], i < replaced);
-  };
-  if (pool_ == nullptr || pool_->size() <= 1 || total <= 1) {
-    for (std::size_t i = 0; i < total; ++i) refresh_one(i);
-  } else {
-    pool_->parallel_for(0, total, refresh_one);
   }
   for (std::uint32_t slot : refresh_slots_) trace_dirty_[slot] = 0;
 }

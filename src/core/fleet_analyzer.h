@@ -30,7 +30,9 @@
 // Equivalence contract: after any sequence of add_bundle() calls,
 // snapshot() is byte-identical — rendered text and JSON reports and every
 // per-instance intermediate — to ManifestationAnalyzer::run over the same
-// bundles in arrival order, for any AnalysisConfig::num_threads.
+// bundles in arrival order, for any AnalysisConfig::num_threads.  The
+// engine itself runs on its caller's thread (it starts no threads and
+// ignores num_threads); a service parallelizes across tenants instead.
 // Re-adding a user (same TraceBundle::fleet_key()) replaces their earlier
 // bundle in its original fleet slot, matching a batch input whose slot
 // holds the latest upload; it never duplicates the user.
@@ -39,12 +41,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/pipeline.h"
 #include "trace/recorder.h"
 
@@ -68,10 +67,6 @@ class FleetAnalyzer {
   /// the fleet replaces that user's earlier trace in place (idempotent
   /// re-upload); a new key appends a fleet slot in arrival order.
   void add_bundle(const trace::TraceBundle& bundle);
-  /// Batch ingestion: Step 1 for the arriving bundles runs in parallel on
-  /// the pool; the results are applied in `bundles` order, so the fleet
-  /// state equals calling add_bundle() for each in order.
-  void add_bundles(std::span<const trace::TraceBundle> bundles);
 
   /// Ingests an arrival whose Step 1 already ran elsewhere — e.g. the
   /// exact per-instance powers recovered from a durable-store snapshot
@@ -85,13 +80,12 @@ class FleetAnalyzer {
   /// Re-runs Steps 2-4 on the perturbed traces, rebuilds Step 5 and
   /// returns the full result — byte-identical to a batch
   /// ManifestationAnalyzer::run over the current fleet (see the contract
-  /// above).  The reference stays valid until the next
-  /// add_bundle/add_bundles call.  Throws AnalysisError when the fleet is
-  /// empty.
+  /// above).  The reference stays valid until the next add_bundle or
+  /// add_analyzed call.  Throws AnalysisError when the fleet is empty.
   const AnalysisResult& snapshot();
 
-  /// Arrivals applied so far (add_bundle/add_bundles/add_analyzed calls,
-  /// re-uploads included).  Identifies the arrival prefix a published
+  /// Arrivals applied so far (add_bundle/add_analyzed calls, re-uploads
+  /// included).  Identifies the arrival prefix a published
   /// SnapshotImage covers.
   [[nodiscard]] std::uint64_t arrivals() const { return arrivals_; }
 
@@ -192,8 +186,6 @@ class FleetAnalyzer {
   void refresh_slot(std::size_t slot, bool replaced);
 
   AnalysisConfig config_;
-  std::optional<common::ThreadPool> pool_storage_;
-  common::ThreadPool* pool_{nullptr};  ///< null = sequential path
 
   /// traces (arrival order) + incrementally maintained ranking + the
   /// report of the last snapshot; handed out by snapshot() by reference.

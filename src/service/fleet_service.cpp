@@ -15,23 +15,26 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Shard count resolution order: an existing partitioned layout pins it
-/// (records route by key hash, so reopening with a different count would
-/// silently split tenants across shards); otherwise the explicit request;
-/// otherwise one per hardware thread, capped at 4.
+/// Shard count resolution order: an existing partitioned root pins it —
+/// its layout.edx or, without one, the count its shard-<i> directories
+/// imply (records route by key hash, so another count would split
+/// tenants across shards or leave shards unread); otherwise the explicit
+/// request; otherwise one per hardware thread, capped at 4.
+/// store::inspect_root also refuses a root in an old on-disk format here,
+/// before any file is touched.
 std::size_t resolve_shards(const ServiceOptions& options) {
   const std::size_t requested = options.num_shards;
   if (!options.store_root.empty()) {
-    if (const std::optional<store::PartitionedLayout> layout =
-            store::read_layout(options.store_root)) {
-      if (requested != 0 && requested != layout->shard_count) {
+    const store::RootInfo root = store::inspect_root(options.store_root);
+    if (root.kind == store::RootKind::kPartitioned) {
+      if (requested != 0 && requested != root.shard_count) {
         throw Error("FleetService: store root '" + options.store_root +
                     "' is partitioned for " +
-                    std::to_string(layout->shard_count) +
+                    std::to_string(root.shard_count) +
                     " shard(s) but " + std::to_string(requested) +
                     " were requested; reopen with the stored count (or 0)");
       }
-      return layout->shard_count;
+      return root.shard_count;
     }
   }
   if (requested != 0) return requested;
@@ -117,12 +120,6 @@ FleetService::FleetService(ServiceOptions options)
     : options_(std::move(options)) {
   options_.num_shards = resolve_shards(options_);
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
-  if (options_.analysis.num_threads == 0) {
-    // AnalysisConfig's 0 means "one thread per core" — right for one
-    // batch run, wrong for a service that already parallelizes across
-    // shards and would otherwise spawn a full pool per tenant.
-    options_.analysis.num_threads = 1;
-  }
 
   shards_.reserve(options_.num_shards);
   for (std::size_t s = 0; s < options_.num_shards; ++s) {
@@ -185,11 +182,14 @@ void FleetService::close() {
 
 void FleetService::open_stores() {
   const std::string& root = options_.store_root;
-  store::inspect_root(root);  // refuses a root in an old format
-  fs::create_directories(root);
-  // Layout first, stores second: a crash in between leaves a valid
-  // (empty-shard) partitioned root.
-  if (!store::read_layout(root)) store::write_layout(root, shards_.size());
+  // Stores first, layout last: layout.edx is published only once every
+  // shard has opened and every tenant has passed the home-shard check, so
+  // a refused open never pins a count.  Every shard directory exists
+  // before any store opens, so a crash before the publish leaves shard
+  // directories whose count the next open infers.
+  for (std::unique_ptr<Shard>& shard : shards_) {
+    fs::create_directories(store::shard_dir(root, shard->index));
+  }
   // Each tenant is read from its home shard only.  A tenant with records
   // on another shard cannot be merged safely: replay runs shard by
   // shard, so an older re-upload on a later shard would replace a newer
@@ -208,6 +208,7 @@ void FleetService::open_stores() {
       }
     }
   }
+  if (!store::read_layout(root)) store::write_layout(root, shards_.size());
 
   // Warm-start every stored tenant: snapshotted slots re-enter through
   // their stored Step-1 state (no power join), the WAL tail through the

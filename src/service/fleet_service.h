@@ -103,9 +103,9 @@ struct ServiceOptions {
   /// can lag the submitted count by at most queue_capacity + one
   /// in-flight batch per shard.
   std::size_t queue_capacity{1024};
-  /// Per-tenant analysis config.  num_threads 0 (the AnalysisConfig
-  /// default, "one per core") is overridden to 1: the service
-  /// parallelizes across shards, not inside one tenant's snapshot.
+  /// Per-tenant analysis config.  Its num_threads is unused: each
+  /// tenant's FleetAnalyzer runs on its home shard's worker thread, and
+  /// the service parallelizes across shards.
   core::AnalysisConfig analysis;
   /// Build reports with the self-estimated impacted fraction (the CLI's
   /// no---reported-fraction behavior).  When false, the fraction in
@@ -117,8 +117,11 @@ struct ServiceOptions {
   /// tenants are recovered at construction; a root in an old on-disk
   /// format is refused with an Error, never migrated, and so is a root
   /// where a tenant has records on a shard other than its home shard.
-  /// num_shards 0 adopts an existing layout's count; a non-zero
-  /// num_shards that contradicts the layout is an error.
+  /// num_shards 0 adopts an existing root's count: its layout.edx, or
+  /// without one the count its shard-<i> directories imply.  A non-zero
+  /// num_shards that contradicts that count is an error.  A missing
+  /// layout.edx is written only after every shard opened and passed the
+  /// home-shard check.
   std::string store_root;
   store::StoreOptions store;
 };

@@ -12,7 +12,6 @@
 #include <map>
 #include <utility>
 
-#include "common/compress.h"
 #include "common/crc32c.h"
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -38,17 +37,15 @@ namespace {
 constexpr std::string_view kSegmentMagic = "EDXWAL03";
 constexpr std::string_view kSnapshotMagic = "EDXSNP3";
 constexpr std::string_view kLayoutMagic = "EDXLAY01";
-// Frame kinds: 1 = bundle record, 2 = block-compressed bundle record;
-// +2 (3/4) = same payload, but a `string key` precedes it — the tenant's
-// first-ever persisted record registers its key without spending a
-// separate sequence number.
+// Frame kinds: 1 = bundle record; 3 = the same record, but a `string key`
+// precedes it — the tenant's first-ever persisted record registers its
+// key without spending a separate sequence number.  No other kind is
+// written, and a CRC-valid frame of any other kind is refused, not
+// truncated as a tear.
 constexpr std::uint8_t kRecordKindBundle = 1;
-constexpr std::uint8_t kRecordKindCompressed = 2;
-constexpr std::uint8_t kRecordKeyFlag = 2;  // kind + kRecordKeyFlag
+constexpr std::uint8_t kRecordKindKeyed = 3;
 /// Producers block once this many encoded-but-unwritten bytes are queued.
 constexpr std::size_t kMaxQueueBytes = 8u << 20;
-/// Sanity cap on a compressed frame's declared uncompressed size.
-constexpr std::size_t kMaxRawFrameBytes = std::size_t{1} << 28;
 /// Encode-buffer pool bounds: plenty for a full writer queue of typical
 /// bundles without letting a burst of huge records pin memory forever.
 constexpr std::size_t kMaxPooledPayloads = 1024;
@@ -93,13 +90,16 @@ struct SegmentScan {
   std::vector<ScannedRecord> records;
   /// Valid records per tenant id (resolved to keys at merge time).
   std::map<TenantId, std::size_t> tenant_counts;
-  bool foreign{false};  ///< header names another format version
+  /// The header names another format version, or a CRC-valid frame
+  /// has a kind this format does not write.
+  bool foreign{false};
 };
 
 /// Decodes a tenant-tagged segment up to the first bad byte.  Never
-/// throws: damage sets stats.torn, and interning is deferred to the
-/// sequential merge.  Records with seq <= skip_upto_seq skip the bundle
-/// decode (snapshot-covered) but still surface their tenant tag and key.
+/// throws: damage sets stats.torn, a frame this format does not write
+/// sets `foreign`, and interning is deferred to the sequential merge.
+/// Records with seq <= skip_upto_seq skip the bundle decode
+/// (snapshot-covered) but still surface their kind, tenant tag and key.
 SegmentScan scan_segment(const std::string& path, std::uint64_t base,
                          std::uint64_t skip_upto_seq) {
   SegmentScan scan;
@@ -133,7 +133,6 @@ SegmentScan scan_segment(const std::string& path, std::uint64_t base,
   scan.stats.bytes = offset;
   const std::string_view data(bytes);
   std::uint64_t previous_seq = base - 1;
-  std::string decompressed;
   while (offset < data.size()) {
     std::size_t cursor = offset;
     std::uint64_t frame_len = 0;
@@ -163,37 +162,25 @@ SegmentScan scan_segment(const std::string& path, std::uint64_t base,
     try {
       Reader reader(frame);
       const auto kind = static_cast<std::uint8_t>(reader.bytes(1)[0]);
+      if (kind != kRecordKindBundle && kind != kRecordKindKeyed) {
+        // The CRC vouches for these bytes: a writer of another format
+        // (an older build's compressed frames) made them.  Truncating
+        // would drop acknowledged records, so open() refuses the root.
+        scan.foreign = true;
+        return scan;
+      }
       const std::uint64_t tenant = reader.varint();
       if (tenant >= kInvalidTenant) {
         throw ParseError("tenant id out of range");
       }
       record.tenant = static_cast<TenantId>(tenant);
       record.seq = reader.varint();
-      const std::uint8_t base_kind =
-          kind > kRecordKeyFlag ? kind - kRecordKeyFlag : kind;
-      if (base_kind != kRecordKindBundle &&
-          base_kind != kRecordKindCompressed) {
-        throw ParseError("unknown record kind " + std::to_string(kind));
-      }
-      record.has_key = kind > kRecordKeyFlag;
+      record.has_key = kind == kRecordKindKeyed;
       if (record.has_key) record.key = std::string(reader.string());
-      if (record.seq <= skip_upto_seq) {
-        // Snapshot-covered: CRC already vouches for the bytes; leave the
-        // parts empty (the key, if any, was still parsed above).
-      } else if (base_kind == kRecordKindBundle) {
+      // Snapshot-covered records keep empty parts: the CRC already
+      // vouches for the bytes, and the key, if any, was parsed above.
+      if (record.seq > skip_upto_seq) {
         record.parts = decode_bundle_parts(reader.bytes(reader.remaining()));
-      } else {
-        const std::uint64_t raw_len = reader.varint();
-        if (raw_len > kMaxRawFrameBytes) {
-          throw ParseError("compressed frame declares absurd raw length");
-        }
-        if (!common::block_decompress(reader.bytes(reader.remaining()),
-                                      decompressed,
-                                      static_cast<std::size_t>(raw_len)) ||
-            decompressed.size() != raw_len) {
-          throw ParseError("compressed frame does not decompress");
-        }
-        record.parts = decode_bundle_parts(decompressed);
       }
     } catch (const ParseError& failure) {
       torn(offset, std::string("bad frame: ") + failure.what());
@@ -876,29 +863,12 @@ std::uint64_t ShardStore::enqueue(TenantId id,
                                   bool durable) {
   require_writable("append");
   Tenant& tenant = tenant_ref(id);  // validates the id
-  // All the expensive work — encoding, optional compression, the one
-  // bundle copy — happens outside the lock; the encode buffer comes from
-  // the pool the writer refills after each batch.
+  // All the expensive work — encoding, the one bundle copy — happens
+  // outside the lock; the encode buffer comes from the pool the writer
+  // refills after each batch.
   std::string payload = take_pooled_payload();
   encode_bundle(bundle, payload);
   auto ref = std::make_shared<const trace::TraceBundle>(bundle);
-  std::uint8_t kind = kRecordKindBundle;
-  if (options_.compress) {
-    std::string packed;
-    put_varint(packed, payload.size());
-    packed += common::block_compress(payload);
-    if (packed.size() < payload.size()) {
-      kind = kRecordKindCompressed;
-      std::swap(payload, packed);
-      // `packed` now holds the raw encode buffer; hand it back.
-      std::lock_guard<std::mutex> lk(pool_mutex_);
-      if (payload_pool_.size() < kMaxPooledPayloads &&
-          packed.capacity() <= kMaxPooledPayloadCapacity) {
-        packed.clear();
-        payload_pool_.push_back(std::move(packed));
-      }
-    }
-  }
 
   std::unique_lock<std::mutex> lk(mutex_);
   if (writer_error_) std::rethrow_exception(writer_error_);
@@ -910,12 +880,11 @@ std::uint64_t ShardStore::enqueue(TenantId id,
   if (stop_) throw Error("ShardStore: store is closing");
 
   const std::uint64_t seq = ++last_seq_;
-  if (!tenant.key_persisted) {
-    // First record for this tenant: carry the key inline so recovery can
-    // rebuild the id->key map from the log itself.
-    kind = static_cast<std::uint8_t>(kind + kRecordKeyFlag);
-    tenant.key_persisted = true;
-  }
+  // A tenant's first record carries its key inline so recovery can
+  // rebuild the id->key map from the log itself.
+  const std::uint8_t kind =
+      tenant.key_persisted ? kRecordKindBundle : kRecordKindKeyed;
+  tenant.key_persisted = true;
   tenant.last_seq = seq;
   tenant.users.insert(ref->fleet_key());
   tenant.tail.push_back(std::move(ref));
@@ -981,7 +950,7 @@ void ShardStore::write_batch(std::vector<Pending>& batch) {
       prefix.push_back(static_cast<char>(pending.kind));
       put_varint(prefix, pending.tenant);
       put_varint(prefix, pending.seq);
-      if (pending.kind > kRecordKeyFlag) {
+      if (pending.kind == kRecordKindKeyed) {
         put_string(prefix, tenant_ref(pending.tenant).key);
       }
       put_varint(buffer, prefix.size() + pending.payload.size());

@@ -45,17 +45,16 @@
 //                         frame := u8 kind | varint tenant_id |
 //                                  varint seq | [string key] | payload
 //                         kind 1: payload = codec bundle record
-//                         kind 2: payload = varint raw_len |
-//                                 common::block_compress(bundle record)
-//                         kind 3/4: as 1/2, but a `string key` precedes
-//                                 the payload: the tenant's first-ever
+//                         kind 3: as 1, but a `string key` precedes the
+//                                 payload: the tenant's first-ever
 //                                 record, so the id->key map rebuilds from
 //                                 the log itself.
-//                       The segment with the largest base is the active
-//                       tail; at segment_target_bytes the writer fsyncs
-//                       and seals it.  Salvage-and-truncate repair applies
-//                       only to the active tail; a torn sealed segment
-//                       stops replay but is never modified.
+//                       No other kind is written.  The segment with the
+//                       largest base is the active tail; at
+//                       segment_target_bytes the writer fsyncs and seals
+//                       it.  Salvage-and-truncate repair applies only to
+//                       the active tail; a torn sealed segment stops
+//                       replay but is never modified.
 //   manifest.edx        "EDXMAN01" + varint payload_len + payload + u32le
 //                       crc32c(payload); payload := varint snapshot_seq,
 //                       varint sealed_count x (varint base + varint
@@ -79,11 +78,14 @@
 //                       Every registered tenant appears, even with an
 //                       empty fleet, so the id->key map survives the
 //                       deletion of the sealed segments that carried the
-//                       kind-3/4 records.  Tenant ids are never reassigned.
+//                       kind-3 records.  Tenant ids are never reassigned.
 //
 // A segment or snapshot whose complete magic names another EDX format
-// version is refused: open() throws before it changes any file.  Old
-// formats are never migrated or repaired; their traces must be re-ingested.
+// version is refused, and so is a segment holding a CRC-valid frame of a
+// kind other than 1 or 3 (the compressed kinds 2 and 4 of older builds):
+// open() throws before it changes any file.  Only a frame that fails its
+// length or CRC check is a tear.  Old formats are never migrated or
+// repaired; their traces must be re-ingested.
 //
 // Replay that stops anywhere but in the torn end of the active segment
 // (a torn sealed segment, a sequence gap, a tenant-key conflict, a record
@@ -199,7 +201,7 @@ class ShardStore {
   [[nodiscard]] const RecoveryStats& recovery() const { return recovery_; }
 
   /// Registers `key` (idempotent) and returns its permanent id.  The key
-  /// itself is persisted inline with the tenant's first record (kind 3/4)
+  /// itself is persisted inline with the tenant's first record (kind 3)
   /// and in every snapshot; registering without ever appending leaves no
   /// trace on disk.
   TenantId ensure_tenant(const std::string& key);
@@ -247,7 +249,7 @@ class ShardStore {
   /// across concurrent ensure_tenant calls.
   struct Tenant {
     std::string key;
-    bool key_persisted{false};  ///< a kind-3/4 or snapshot record holds it
+    bool key_persisted{false};  ///< a kind-3 or snapshot record holds it
     std::uint64_t last_seq{0};
     /// Step 1's output (user + events) per snapshotted user, slot order;
     /// written only by open() and compaction.
@@ -257,9 +259,10 @@ class ShardStore {
     std::vector<BundleRef> tail;  ///< every record after the snapshot
   };
 
-  /// One queued, already-encoded WAL record.  `kind` is final (includes
-  /// the +2 inline-key variant); the key bytes are fetched from the
-  /// tenant at write time (immutable once registered).
+  /// One queued, already-encoded WAL record.  `kind` is final (3 for the
+  /// tenant's first record, which inlines its key, else 1); the key bytes
+  /// are fetched from the tenant at write time (immutable once
+  /// registered).
   struct Pending {
     std::uint64_t seq{0};
     TenantId tenant{kInvalidTenant};

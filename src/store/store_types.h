@@ -31,8 +31,6 @@ struct StoreOptions {
   std::uint32_t group_window_us{500};
   /// A segment reaching this size is sealed and the next one opened.
   std::size_t segment_target_bytes{8u << 20};
-  /// Write compressed (block_compress) frames when they come out smaller.
-  bool compress{false};
   /// Threads for parallel segment decode in open(); 0 = hardware.
   std::size_t recovery_threads{0};
 };

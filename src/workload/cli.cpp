@@ -459,7 +459,6 @@ int cmd_ingest(const IngestOptions& options, std::ostream& out) {
   if (options.segment_bytes != 0) {
     store_options.segment_target_bytes = options.segment_bytes;
   }
-  store_options.compress = options.compress;
   const std::string& root = options.store_dir;
   const std::string& tenant = options.tenant;
   require(!tenant.empty(), "ingest: --tenant needs a non-empty key");
@@ -791,7 +790,6 @@ int cmd_serve(const ServeOptions& options, std::ostream& out) {
   if (options.segment_bytes != 0) {
     service_options.store.segment_target_bytes = options.segment_bytes;
   }
-  service_options.store.compress = options.compress;
   if (options.reported_fraction.has_value()) {
     service_options.self_estimate_fraction = false;
     service_options.analysis.reporting.developer_reported_fraction =
@@ -909,7 +907,7 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
            "[--app ID --users N --seed S] [--compact] "
            "[--tenant KEY] [--shards N] "
            "[--fsync-policy always|group|group:<us>|none] "
-           "[--segment-bytes N] [--compress] | "
+           "[--segment-bytes N] | "
            "store-info --store DIR | "
            "verify <app-id> [--users N] [--seed S] | "
            "gen-training <device> <out.csv> [--levels N] [--noise F] | "
@@ -917,7 +915,7 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
            "serve --apps ID[,ID,...] [--users N] [--seed S] [--shards N] "
            "[--writers N] [--store-root DIR] "
            "[--fsync-policy always|group|group:<us>|none] "
-           "[--segment-bytes N] [--compress] "
+           "[--segment-bytes N] "
            "[--reported-fraction F] [--json] | "
            "loadgen (--workload NAME | --spec FILE) [--rate R] "
            "[--duration MS] [--threads N] [--seed S] [--shards N] "
@@ -985,7 +983,7 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
     FlagSet flags("ingest", rest,
                   {"--store", "--app", "--users", "--seed", "--fsync-policy",
                    "--segment-bytes", "--tenant", "--shards"},
-                  {"--compact", "--compress"});
+                  {"--compact"});
     IngestOptions options;
     const auto store_flag = flags.value("--store");
     if (!store_flag.has_value()) {
@@ -1009,7 +1007,6 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
     options.segment_bytes = static_cast<std::size_t>(
         to_int(flags.value("--segment-bytes").value_or("0"),
                "--segment-bytes", 0, std::int64_t{1} << 40));
-    options.compress = flags.has_switch("--compress");
     if (const auto tenant = flags.value("--tenant")) {
       options.tenant = *tenant;
     }
@@ -1070,7 +1067,7 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
                   {"--apps", "--users", "--seed", "--shards", "--writers",
                    "--store-root", "--fsync-policy", "--segment-bytes",
                    "--reported-fraction"},
-                  {"--json", "--compress"});
+                  {"--json"});
     flags.reject_extra_positionals(0, "--apps ID[,ID,...]");
     ServeOptions options;
     options.app_ids =
@@ -1095,7 +1092,6 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
     options.segment_bytes = static_cast<std::size_t>(
         to_int(flags.value("--segment-bytes").value_or("0"),
                "--segment-bytes", 0, std::int64_t{1} << 40));
-    options.compress = flags.has_switch("--compress");
     return cmd_serve(options, out);
   }
   if (command == "loadgen") {

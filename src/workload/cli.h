@@ -11,7 +11,7 @@
 //                   [--app ID --users N --seed S] [--compact]
 //                   [--tenant KEY] [--shards N]
 //                   [--fsync-policy always|group|group:<us>|none]
-//                   [--segment-bytes N] [--compress]
+//                   [--segment-bytes N]
 //   energydx store-info --store DIR
 //   energydx verify <app-id> [--users N] [--seed S]
 //   energydx gen-training <builtin-device> <out.csv> [--levels N] [--noise F]
@@ -19,7 +19,7 @@
 //   energydx serve --apps ID[,ID,...] [--users N] [--seed S] [--shards N]
 //                  [--writers N] [--store-root DIR]
 //                  [--fsync-policy always|group|group:<us>|none]
-//                  [--segment-bytes N] [--compress]
+//                  [--segment-bytes N]
 //                  [--reported-fraction F] [--json]
 //   energydx loadgen (--workload NAME | --spec FILE) [--rate R]
 //                    [--duration MS] [--threads N] [--seed S]
@@ -44,8 +44,8 @@
 // tenant-tagged ShardStore per ingest shard at <root>/shard-<i> (shard
 // count pinned by <root>/layout.edx), so a multi-tenant ingest batch
 // waits on one flush() per shard, not one per tenant;
-// --fsync-policy/--segment-bytes/--compress tune those stores exactly as
-// they tune ingest's.
+// --fsync-policy/--segment-bytes tune those stores exactly as they tune
+// ingest's.
 //
 // `loadgen` is the declarative SLO harness (src/loadgen/): a
 // WorkloadSpec — a built-in mix from the WorkloadFactory (--workload
@@ -68,10 +68,9 @@
 // tenant --tenant (default "default"), on that tenant's home shard —
 // from bundle files / trace directories given as operands, and/or a
 // simulated population (--app) — under a chosen group-commit fsync
-// policy, optionally with per-frame compression, optionally compacting
-// afterwards (the compaction runs on the store's background thread;
-// ingest waits for it before reporting).  --shards N sets the shard
-// count of a new root.  `analyze --store DIR` recovers tenant "default"
+// policy, optionally compacting afterwards (the compaction runs on the
+// store's background thread; ingest waits for it before reporting).
+// --shards N sets the shard count of a new root.  `analyze --store DIR` recovers tenant "default"
 // (newest valid snapshot + WAL segments, --threads segment decoders,
 // tolerating a torn tail): the snapshotted bundles warm-start
 // core::FleetAnalyzer from the stored Step-1 state, and the report is
@@ -80,9 +79,10 @@
 // coverage, WAL replay counts, per-segment recovery diagnostics with
 // per-tenant record counts, manifest status, tail state, and compaction
 // state.  A torn-but-salvaged tail is a diagnostic, not an error.  A
-// root holding store files outside shard-<i>/ directories, or files in
-// an older format version, is refused with an error that asks for a
-// re-ingest; old formats are never migrated or repaired.
+// root holding store files outside shard-<i>/ directories, files in an
+// older format version, or WAL frames of a kind this build does not
+// write (older builds' --compress frames) is refused with an error that
+// asks for a re-ingest; old formats are never migrated or repaired.
 //
 // Exit codes — run() maps exceptions to error classes via exit_code_for():
 //   0  success
@@ -197,8 +197,6 @@ struct IngestOptions {
   std::string fsync_policy{"group"};
   /// Segment roll size in bytes (0 = the store default, 8 MiB).
   std::size_t segment_bytes{0};
-  /// Write compressed WAL frames when compression actually shrinks them.
-  bool compress{false};
 };
 
 /// Appends bundles into the store at `options.store_dir` (created if
@@ -249,8 +247,6 @@ struct ServeOptions {
   std::string fsync_policy{"group"};
   /// Segment roll size in bytes (0 = the store default, 8 MiB).
   std::size_t segment_bytes{0};
-  /// Write compressed WAL frames when compression actually shrinks them.
-  bool compress{false};
 };
 
 /// Simulates one population per app, serves the interleaved arrivals

@@ -215,19 +215,6 @@ TEST(FleetAnalyzerTest, SnapshotsInterleavedWithReuploadsMatchBatch) {
   }
 }
 
-TEST(FleetAnalyzerTest, AddBundlesBatchIngestionMatchesPerArrival) {
-  std::vector<trace::TraceBundle> bundles;
-  for (UserId user = 0; user < 11; ++user) {
-    bundles.push_back(make_trace(user, /*with_abd=*/user % 3 == 1));
-  }
-  for (std::size_t num_threads : {1u, 8u}) {
-    FleetAnalyzer fleet(make_config(num_threads));
-    fleet.add_bundles(bundles);
-    expect_identical(batch_run(bundles, num_threads), fleet.snapshot(),
-                     "threads=" + std::to_string(num_threads));
-  }
-}
-
 std::string render_report(const DiagnosisReport& report, double fraction) {
   ReportRenderOptions options;
   options.developer_reported_fraction = fraction;

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -587,6 +588,90 @@ TEST(FleetServiceTest, PartitionedRootRejectsMismatchedShardCount) {
   EXPECT_EQ(adopted.options().num_shards, 2u);
 }
 
+/// Every file under `dir`, keyed by path, with its bytes.
+std::map<std::string, std::string> tree_bytes(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      files[entry.path().string()] = read_file(entry.path().string());
+    }
+  }
+  return files;
+}
+
+/// A 6-shard root whose layout.edx is gone: a count the core-count
+/// default (at most 4) can never produce.  Returns each app's report.
+std::map<AppKey, std::string> six_shard_root_without_layout(
+    const std::string& root) {
+  fs::remove_all(root);
+  ServiceOptions options = make_options(6);
+  options.store_root = root;
+  std::map<AppKey, std::string> reports;
+  {
+    FleetService service(options);
+    for (UserId user = 0; user < 3; ++user) {
+      for (const AppKey app : {"mail", "maps", "podcast", "notes", "chat"}) {
+        service.submit(app, make_trace(user, (user + app.size()) % 2 == 0));
+      }
+    }
+    service.drain();
+    for (const AppKey app : {"mail", "maps", "podcast", "notes", "chat"}) {
+      reports[app] = render_image(*service.snapshot(app)->image);
+    }
+  }
+  fs::remove(root + "/layout.edx");
+  return reports;
+}
+
+/// Reopens `root` at num_shards 0: it must adopt 6 shards from the
+/// shard-<i> directories, republish every report byte for byte, and then
+/// pin the count in a new layout.edx.
+void expect_adopts_six_shards(const std::string& root,
+                              const std::map<AppKey, std::string>& reports) {
+  ServiceOptions adopt = make_options(0);
+  adopt.store_root = root;
+  FleetService service(adopt);
+  EXPECT_EQ(service.options().num_shards, 6u);
+  for (const auto& [app, report] : reports) {
+    SCOPED_TRACE("app=" + app);
+    ASSERT_NE(service.snapshot(app), nullptr);
+    EXPECT_EQ(render_image(*service.snapshot(app)->image), report);
+  }
+  const std::optional<store::PartitionedLayout> layout =
+      store::read_layout(root);
+  ASSERT_TRUE(layout.has_value());
+  EXPECT_EQ(layout->shard_count, 6u);
+}
+
+TEST(FleetServiceTest, MissingLayoutAdoptsTheShardDirectoryCount) {
+  const std::string root = edx::test::temp_root() + "/edx_service_nolayout";
+  expect_adopts_six_shards(root, six_shard_root_without_layout(root));
+}
+
+TEST(FleetServiceTest, MissingLayoutRefusesAWrongCountUntouched) {
+  // 3 divides 6, so every tenant on shards 0-2 would pass the home-shard
+  // check while shards 3-5 went unread: the count the directories imply
+  // pins it as a layout.edx would.
+  const std::string root =
+      edx::test::temp_root() + "/edx_service_nolayout_wrong";
+  const std::map<AppKey, std::string> reports =
+      six_shard_root_without_layout(root);
+  const std::map<std::string, std::string> before = tree_bytes(root);
+  ServiceOptions wrong = make_options(3);
+  wrong.store_root = root;
+  try {
+    FleetService service(wrong);
+    ADD_FAILURE() << "a 6-shard root opened with 3 shards";
+  } catch (const edx::Error& refusal) {
+    EXPECT_NE(std::string(refusal.what()).find("6 shard(s)"),
+              std::string::npos)
+        << refusal.what();
+  }
+  EXPECT_FALSE(fs::exists(root + "/layout.edx"));
+  EXPECT_EQ(tree_bytes(root), before);
+  expect_adopts_six_shards(root, reports);
+}
+
 TEST(FleetServiceTest, TenantOffItsHomeShardIsRefusedUntouched) {
   // A root where a tenant has records on a shard other than its home
   // shard cannot be replayed in order, so the service refuses it with a
@@ -717,12 +802,12 @@ TEST(FleetServiceTest, ErrorAndEmptyStates) {
 }
 
 TEST(FleetServiceTest, DefaultsResolveShardsAndNormalizeConfig) {
-  FleetService service{};  // all defaults: auto shard count
+  ServiceOptions options;  // all defaults but an invalid queue bound
+  options.queue_capacity = 0;
+  FleetService service(options);  // auto shard count
   EXPECT_GE(service.options().num_shards, 1u);
   EXPECT_LE(service.options().num_shards, 4u);
-  // AnalysisConfig's "0 = one per core" is normalized to sequential:
-  // parallelism lives across shards, not inside one tenant's snapshot.
-  EXPECT_EQ(service.options().analysis.num_threads, 1u);
+  EXPECT_EQ(service.options().queue_capacity, 1u);
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 // (a torn sealed segment, a sequence gap) leaves the store read-only; the
 // snapshot's Step-1 slots, folded from the tail at each compaction,
 // warm-start the analyzer to the exact bytes of a never-restarted run;
-// and files in an old on-disk format are refused untouched.  Plus the
+// and files in an old on-disk format, or holding CRC-valid frames of a
+// kind the store does not write, are refused untouched.  Plus the
 // partitioned-root helpers (layout pinning, root inspection) the service
 // builds on, and (suite FleetStoreTest) the single-fleet store that the
 // CLI's --store commands keep.  See store/shard_store.h and DESIGN.md
@@ -278,6 +279,42 @@ std::string v2_format_snapshot() {
   file += payload;
   put_u32le(file, common::crc32c(payload));
   return file;
+}
+
+/// One WAL record as the writer lays it out: varint frame_len | frame |
+/// u32le crc32c(frame), frame := u8 kind | varint tenant | varint seq |
+/// [string key] | payload, the key written when non-empty.  Any kind
+/// byte may be given, so the refusal tests can build CRC-valid frames of
+/// kinds the store does not write.
+std::string wal_record(std::uint8_t kind, std::uint64_t seq,
+                       const std::string& key, const std::string& payload) {
+  std::string frame(1, static_cast<char>(kind));
+  put_varint(frame, 0);  // tenant id
+  put_varint(frame, seq);
+  if (!key.empty()) put_string(frame, key);
+  frame += payload;
+  std::string record;
+  put_varint(record, frame.size());
+  record += frame;
+  put_u32le(record, common::crc32c(frame));
+  return record;
+}
+
+/// A compressed-frame payload as older builds wrote it for kinds 2 and 4
+/// (varint raw_len | compressed bytes); the bytes are never decoded.
+std::string compressed_payload(const trace::TraceBundle& bundle) {
+  const std::string raw = encode_bundle(bundle);
+  std::string payload;
+  put_varint(payload, raw.size());
+  payload += raw.substr(0, raw.size() / 5);
+  return payload;
+}
+
+/// A current-format segment header: "EDXWAL03" + varint base.
+std::string wal_header(std::uint64_t base) {
+  std::string header = "EDXWAL03";
+  put_varint(header, base);
+  return header;
 }
 
 /// Runs `open`, which must throw the one-line re-ingest Error naming
@@ -563,30 +600,6 @@ TEST(ShardStoreTest, FsyncPoliciesRoundTrip) {
     EXPECT_EQ(recovered.recovery().wal_records_replayed, 3u);
     expect_fleet_equals(latest_by_user(recovered.tail_refs(id)), bundles);
   }
-}
-
-TEST(ShardStoreTest, CompressedStoreRoundTripsAndShrinksTheWal) {
-  const std::string plain_dir = temp_store("nocompress");
-  const std::string packed_dir = temp_store("compress");
-  const std::vector<trace::TraceBundle> bundles = make_fleet(4);
-  StoreOptions packed_options;
-  packed_options.compress = true;
-  TenantId id = kInvalidTenant;
-  {
-    ShardStore plain = ShardStore::open(plain_dir);
-    ShardStore packed = ShardStore::open(packed_dir, packed_options);
-    id = plain.ensure_tenant("alpha");
-    ASSERT_EQ(packed.ensure_tenant("alpha"), id);
-    for (const trace::TraceBundle& bundle : bundles) {
-      plain.append(id, bundle);
-      packed.append(id, bundle);
-    }
-  }
-  EXPECT_LT(fs::file_size(active_wal(packed_dir)),
-            fs::file_size(active_wal(plain_dir)));
-  const ShardStore recovered = ShardStore::open(packed_dir, packed_options);
-  EXPECT_EQ(recovered.recovery().wal_records_replayed, bundles.size());
-  expect_fleet_equals(latest_by_user(recovered.tail_refs(id)), bundles);
 }
 
 TEST(ShardStoreTest, OpenRejectsUnreadableDirectory) {
@@ -903,6 +916,74 @@ TEST(ShardStoreTest, OldFormatSegmentIsRefusedUntouched) {
   write_file(dir + "/wal-1.edx", old_format_segment());
   write_file(dir + "/manifest.edx.tmp", "left by a crash");
   expect_refused_untouched(dir, dir + "/wal-1.edx", [&] {
+    static_cast<void>(ShardStore::open(dir));
+  });
+}
+
+// A CRC-valid frame of a kind the store does not write was made by a
+// writer of another format — older builds' --compress wrote kinds 2 and
+// 4 — and is refused like an old header, not truncated as a tear with
+// the records after it.  Here a kind-2 frame ends the active segment,
+// beside a temp file a crash left.  The same frame with a bad CRC is a
+// tear, repaired as before.
+TEST(ShardStoreTest, CompressedFrameInActiveSegmentIsRefusedUntouched) {
+  const std::string dir = temp_store("kind2_active");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(3);
+  {
+    ShardStore store = ShardStore::open(dir);
+    const TenantId id = store.ensure_tenant("alpha");
+    store.append(id, bundles[0]);
+    store.append(id, bundles[1]);
+  }
+  const std::string wal = active_wal(dir);
+  const std::string clean = read_file(wal);
+  const std::string foreign =
+      wal_record(2, 3, "", compressed_payload(bundles[2]));
+  write_file(wal, clean + foreign);
+  write_file(dir + "/manifest.edx.tmp", "left by a crash");
+  expect_refused_untouched(dir, wal, [&] {
+    static_cast<void>(ShardStore::open(dir));
+  });
+
+  std::string torn = foreign;
+  torn.back() = static_cast<char>(torn.back() ^ 0x01);
+  write_file(wal, clean + torn);
+  const ShardStore repaired = ShardStore::open(dir);
+  EXPECT_EQ(repaired.recovery().wal_records_replayed, 2u);
+  EXPECT_EQ(repaired.recovery().tail_bytes_truncated, torn.size());
+  EXPECT_EQ(read_file(wal), clean);
+}
+
+// A sealed segment whose first record is a compressed keyed frame (kind
+// 4, a tenant's first record under --compress): refused, not a torn
+// sealed segment that turns the store read-only.
+TEST(ShardStoreTest, CompressedKeyedFirstRecordInSealedSegmentIsRefused) {
+  const std::string dir = temp_store("kind4_sealed");
+  fs::create_directories(dir);
+  const std::string sealed = dir + "/wal-1.edx";
+  write_file(sealed, wal_header(1) +
+                         wal_record(4, 1, "alpha",
+                                    compressed_payload(make_trace(0, true))));
+  write_file(dir + "/wal-2.edx",
+             wal_header(2) +
+                 wal_record(1, 2, "", encode_bundle(make_trace(1, false))));
+  expect_refused_untouched(dir, sealed, [&] {
+    static_cast<void>(ShardStore::open(dir));
+  });
+}
+
+// Any other unknown kind too, wherever it sits: a kind-7 frame between
+// CRC-valid records refuses the root rather than cutting the log at it.
+TEST(ShardStoreTest, UnknownFrameKindIsRefusedUntouched) {
+  const std::string dir = temp_store("kind7");
+  fs::create_directories(dir);
+  const std::string wal = dir + "/wal-1.edx";
+  write_file(wal,
+             wal_header(1) +
+                 wal_record(3, 1, "alpha", encode_bundle(make_trace(0, true))) +
+                 wal_record(7, 2, "", encode_bundle(make_trace(1, false))) +
+                 wal_record(1, 3, "", encode_bundle(make_trace(2, false))));
+  expect_refused_untouched(dir, wal, [&] {
     static_cast<void>(ShardStore::open(dir));
   });
 }
@@ -1309,40 +1390,6 @@ TEST(FleetStoreTest, FsyncPolicyAlwaysRoundTrips) {
   expect_fleet_equals(latest_by_user(recovered.tail_refs(id)), bundles);
 }
 
-TEST(FleetStoreTest, CompressedStoreRoundTripsAndShrinksTheWal) {
-  const std::string plain_dir = temp_store("fleet_nocompress");
-  const std::string packed_dir = temp_store("fleet_compress");
-  const std::vector<trace::TraceBundle> bundles = make_fleet(5);
-  StoreOptions packed_options;
-  packed_options.compress = true;
-  TenantId id = kInvalidTenant;
-  {
-    ShardStore plain = ShardStore::open(plain_dir);
-    ShardStore packed = ShardStore::open(packed_dir, packed_options);
-    id = plain.ensure_tenant(kFleet);
-    ASSERT_EQ(packed.ensure_tenant(kFleet), id);
-    for (const trace::TraceBundle& bundle : bundles) {
-      plain.append(id, bundle);
-      packed.append(id, bundle);
-    }
-  }
-  EXPECT_LT(fs::file_size(active_wal(packed_dir)),
-            fs::file_size(active_wal(plain_dir)));
-
-  // Compressed frames decode to the exact same fleet — and the analyzer
-  // output matches bit for bit.
-  const ShardStore recovered = ShardStore::open(packed_dir, packed_options);
-  EXPECT_EQ(recovered.recovery().wal_records_replayed, bundles.size());
-  const std::vector<trace::TraceBundle> packed_fleet =
-      latest_by_user(recovered.tail_refs(id));
-  expect_fleet_equals(packed_fleet, bundles);
-  const core::ManifestationAnalyzer analyzer(make_config(1));
-  const ShardStore plain_recovered = ShardStore::open(plain_dir);
-  EXPECT_EQ(render(analyzer.run(packed_fleet)),
-            render(analyzer.run(
-                latest_by_user(plain_recovered.tail_refs(id)))));
-}
-
 TEST(FleetStoreTest, OpenRejectsUnreadableDirectory) {
   // A root that exists as a *file* cannot hold a home shard directory.
   const std::string root = edx::test::temp_root() + "/edx_shard_fleet_notadir";
@@ -1711,29 +1758,6 @@ TEST(FleetStoreTest, CorruptNewestSnapshotFallsBackToOlder) {
   EXPECT_EQ(store.recovery().wal_records_obsolete, 3u);
   EXPECT_EQ(store.recovery().wal_records_replayed, 2u);
   expect_step1_equals(fleet_step1(store, id), bundles);
-}
-
-TEST(FleetStoreTest, CompressedStoreSurvivesRestartAndCompaction) {
-  const std::string dir = temp_store("fleet_compress_compact");
-  StoreOptions options = tiny_segments();
-  options.compress = true;
-  const std::vector<trace::TraceBundle> bundles = make_fleet(7);
-  TenantId id = kInvalidTenant;
-  {
-    ShardStore store = ShardStore::open(dir, options);
-    id = store.ensure_tenant(kFleet);
-    for (int i = 0; i < 4; ++i) {
-      store.append(id, bundles[static_cast<size_t>(i)]);
-    }
-    store.compact();
-    for (std::size_t i = 4; i < bundles.size(); ++i) {
-      store.append(id, bundles[i]);
-    }
-  }
-  const ShardStore recovered = ShardStore::open(dir, options);
-  EXPECT_EQ(recovered.snapshot_seq(), 4u);
-  EXPECT_EQ(recovered.tail_refs(id).size(), 3u);
-  expect_step1_equals(fleet_step1(recovered, id), bundles);
 }
 
 TEST(FleetStoreTest, MultiSegmentRecoveryIsIdenticalForAnyThreadCount) {

@@ -498,11 +498,11 @@ TEST(CliTest, IngestPolicySegmentAndCompressionFlags) {
   std::ostringstream log, err;
   ASSERT_EQ(cmd_simulate(18, dir, /*users=*/6, /*seed=*/3, log), 0);
 
-  // Tiny segments + explicit policy + compression: the store must roll
-  // multiple segments and still analyze identically to the directory.
+  // Tiny segments + explicit policy: the store must roll multiple
+  // segments and still analyze identically to the directory.
   std::ostringstream out;
   ASSERT_EQ(run({"ingest", "--store", store, dir, "--fsync-policy",
-                 "group:200", "--segment-bytes", "4000", "--compress"},
+                 "group:200", "--segment-bytes", "4000"},
                 out, err),
             0);
   EXPECT_NE(out.str().find("ingested 6 bundles"), std::string::npos);
@@ -526,6 +526,11 @@ TEST(CliTest, IngestPolicySegmentAndCompressionFlags) {
   EXPECT_EQ(run({"ingest", "--store", store, dir, "--fsync-policy", "often"},
                 out, err),
             2);
+  // The WAL has one record encoding, so --compress is an unknown flag on
+  // ingest and serve alike.
+  EXPECT_EQ(run({"ingest", "--store", store, dir, "--compress"}, out, err),
+            2);
+  EXPECT_EQ(run({"serve", "--apps", "5", "--compress"}, out, err), 2);
 }
 
 TEST(CliTest, StoreUsageAndDomainErrors) {
@@ -683,7 +688,7 @@ TEST(CliTest, ServeStoreFlagsPersistAndReportFsyncs) {
   std::ostringstream serve_out, err;
   ASSERT_EQ(run({"serve", "--apps", "5", "--users", "4", "--seed", "3",
                  "--shards", "2", "--store-root", root, "--fsync-policy",
-                 "always", "--segment-bytes", "4000", "--compress"},
+                 "always", "--segment-bytes", "4000"},
                 serve_out, err),
             0);
   EXPECT_NE(serve_out.str().find("store fsync(s)"), std::string::npos);
