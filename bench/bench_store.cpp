@@ -166,7 +166,7 @@ void BM_StoreRecoverReport(benchmark::State& state) {
   config.num_threads = 1;
   for (auto _ : state) {
     const store::ShardStore recovered = store::ShardStore::open(dir);
-    const store::TenantId id = *recovered.find_tenant(kTenant);
+    const store::TenantId id = recovered.tenant(kTenant)->id;
     core::FleetAnalyzer fleet(config);
     std::vector<core::AnalyzedTrace> warm = recovered.snapshot_step1(id);
     for (core::AnalyzedTrace& analyzed : warm) {

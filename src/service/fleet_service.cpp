@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <utility>
 
 #include "common/error.h"
@@ -11,48 +10,17 @@
 
 namespace edx::service {
 
-namespace fs = std::filesystem;
-
 namespace {
 
-/// Shard count resolution order: an existing partitioned root pins it —
-/// its layout.edx or, without one, the count its shard-<i> directories
-/// imply (records route by key hash, so another count would split
-/// tenants across shards or leave shards unread); otherwise the explicit
-/// request; otherwise one per hardware thread, capped at 4.
-/// store::inspect_root also refuses a root in an old on-disk format here,
-/// before any file is touched.
-std::size_t resolve_shards(const ServiceOptions& options) {
-  const std::size_t requested = options.num_shards;
-  if (!options.store_root.empty()) {
-    const store::RootInfo root = store::inspect_root(options.store_root);
-    if (root.kind == store::RootKind::kPartitioned) {
-      if (requested != 0 && requested != root.shard_count) {
-        throw Error("FleetService: store root '" + options.store_root +
-                    "' is partitioned for " +
-                    std::to_string(root.shard_count) +
-                    " shard(s) but " + std::to_string(requested) +
-                    " were requested; reopen with the stored count (or 0)");
-      }
-      return root.shard_count;
-    }
-  }
+/// The shard count without a store root, and for a new one: the request,
+/// or one per hardware thread, capped at 4.
+std::size_t resolve_shards(std::size_t requested) {
   if (requested != 0) return requested;
   const std::size_t hardware = std::thread::hardware_concurrency();
   return std::clamp<std::size_t>(hardware, 1, 4);
 }
 
 }  // namespace
-
-std::size_t home_shard(std::string_view app, std::size_t shards) {
-  require(shards > 0, "home_shard: need at least one shard");
-  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a 64 offset basis
-  for (const char c : app) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 1099511628211ull;  // FNV-1a 64 prime
-  }
-  return static_cast<std::size_t>(hash % shards);
-}
 
 /// One registered app.  Only its home shard's worker (and
 /// single-threaded recovery) mutates it; the apply mutex is held while
@@ -118,17 +86,59 @@ struct FleetService::Shard {
 
 FleetService::FleetService(ServiceOptions options)
     : options_(std::move(options)) {
-  options_.num_shards = resolve_shards(options_);
+  // A store root pins the shard count, and opens (scan, check, repair)
+  // before any worker starts: every stored tenant is warm and published
+  // when the constructor returns.
+  const std::size_t fresh = resolve_shards(options_.num_shards);
+  std::vector<std::unique_ptr<store::ShardStore>> stores;
+  if (!options_.store_root.empty()) {
+    stores = store::StoreRoot::scan(options_.store_root, options_.store,
+                                    options_.num_shards, fresh)
+                 .open();
+  }
+  options_.num_shards = stores.empty() ? fresh : stores.size();
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
 
   shards_.reserve(options_.num_shards);
   for (std::size_t s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
     shards_.back()->index = s;
+    if (!stores.empty()) shards_.back()->store = std::move(stores[s]);
   }
-  // Stores open (and recovery runs) before any worker starts: every
-  // stored tenant is warm and published when the constructor returns.
-  if (!options_.store_root.empty()) open_stores();
+  if (!stores.empty()) {
+    // Snapshotted slots re-enter through their stored Step-1 state (no
+    // power join), the WAL tail through the normal arrival path — so the
+    // recovered analyzer state matches a never-restarted run byte for byte.
+    for (std::unique_ptr<Shard>& shard : shards_) {
+      store::ShardStore& shard_store = *shard->store;
+      for (const store::TenantInfo& stored : shard_store.tenants()) {
+        Tenant& tenant = ensure_tenant(stored.key);
+        tenant.store_id = stored.id;
+        std::lock_guard apply_lock(tenant.apply_mutex);
+        for (core::AnalyzedTrace& analyzed :
+             shard_store.snapshot_step1(stored.id)) {
+          tenant.analyzer.add_analyzed(std::move(analyzed));
+        }
+        for (const store::BundleRef& bundle :
+             shard_store.tail_refs(stored.id)) {
+          tenant.analyzer.add_bundle(*bundle);
+        }
+        tenant.store_seq.store(stored.last_seq, std::memory_order_relaxed);
+      }
+    }
+    for (auto& [key, tenant] : tenants_) {
+      const std::uint64_t recovered = tenant->analyzer.arrivals();
+      if (recovered == 0) continue;
+      // Recovered uploads count as already submitted and applied, so the
+      // submitted/applied/published counters stay comparable.
+      tenant->submitted.store(recovered, std::memory_order_relaxed);
+      tenant->applied.store(recovered, std::memory_order_relaxed);
+      if (tenant->analyzer.fleet_size() > 0) {
+        std::lock_guard apply_lock(tenant->apply_mutex);
+        publish_locked(*tenant);
+      }
+    }
+  }
   for (std::unique_ptr<Shard>& shard : shards_) {
     Shard& ref = *shard;
     ref.worker = std::thread([this, &ref] { worker_loop(ref); });
@@ -180,71 +190,6 @@ void FleetService::close() {
   if (failure != nullptr) std::rethrow_exception(failure);
 }
 
-void FleetService::open_stores() {
-  const std::string& root = options_.store_root;
-  // Stores first, layout last: layout.edx is published only once every
-  // shard has opened and every tenant has passed the home-shard check, so
-  // a refused open never pins a count.  Every shard directory exists
-  // before any store opens, so a crash before the publish leaves shard
-  // directories whose count the next open infers.
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    fs::create_directories(store::shard_dir(root, shard->index));
-  }
-  // Each tenant is read from its home shard only.  A tenant with records
-  // on another shard cannot be merged safely: replay runs shard by
-  // shard, so an older re-upload on a later shard would replace a newer
-  // one.  Refuse such a root before warming any tenant or appending.
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    shard->store.reset(new store::ShardStore(store::ShardStore::open(
-        store::shard_dir(root, shard->index), options_.store)));
-    for (const store::TenantInfo& stored : shard->store->tenants()) {
-      const std::size_t home = home_shard(stored.key, shards_.size());
-      if (home != shard->index) {
-        throw Error("FleetService: store root '" + root + "' holds records "
-                    "of tenant '" + stored.key + "' on shard-" +
-                    std::to_string(shard->index) + ", but its home shard "
-                    "is shard-" + std::to_string(home) + "; re-ingest the "
-                    "tenant's uploads into a new root");
-      }
-    }
-  }
-  if (!store::read_layout(root)) store::write_layout(root, shards_.size());
-
-  // Warm-start every stored tenant: snapshotted slots re-enter through
-  // their stored Step-1 state (no power join), the WAL tail through the
-  // normal arrival path — so the recovered analyzer state matches a
-  // never-restarted run byte for byte.
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    store::ShardStore& shard_store = *shard->store;
-    for (const store::TenantInfo& stored : shard_store.tenants()) {
-      Tenant& tenant = ensure_tenant(stored.key);
-      tenant.store_id = stored.id;
-      std::lock_guard apply_lock(tenant.apply_mutex);
-      for (core::AnalyzedTrace& analyzed :
-           shard_store.snapshot_step1(stored.id)) {
-        tenant.analyzer.add_analyzed(std::move(analyzed));
-      }
-      for (const store::BundleRef& bundle :
-           shard_store.tail_refs(stored.id)) {
-        tenant.analyzer.add_bundle(*bundle);
-      }
-      tenant.store_seq.store(stored.last_seq, std::memory_order_relaxed);
-    }
-  }
-  for (auto& [key, tenant] : tenants_) {
-    const std::uint64_t recovered = tenant->analyzer.arrivals();
-    if (recovered == 0) continue;
-    // Recovered uploads count as already submitted and applied, so the
-    // submitted/applied/published counters stay comparable.
-    tenant->submitted.store(recovered, std::memory_order_relaxed);
-    tenant->applied.store(recovered, std::memory_order_relaxed);
-    if (tenant->analyzer.fleet_size() > 0) {
-      std::lock_guard apply_lock(tenant->apply_mutex);
-      publish_locked(*tenant);
-    }
-  }
-}
-
 FleetService::Tenant& FleetService::ensure_tenant(const AppKey& app) {
   require(!app.empty(), "FleetService: app key must be non-empty");
   {
@@ -258,7 +203,7 @@ FleetService::Tenant& FleetService::ensure_tenant(const AppKey& app) {
 
   auto tenant = std::make_unique<Tenant>(options_.analysis);
   tenant->key = app;
-  tenant->shard = home_shard(app, shards_.size());
+  tenant->shard = store::home_shard(app, shards_.size());
   return *tenants_.emplace(app, std::move(tenant)).first->second;
 }
 

@@ -26,7 +26,7 @@
 //                             the call is applied AND published (the
 //                             test/shutdown barrier).
 //
-// Sharding: every app has one home shard, home_shard(app, shards) —
+// Sharding: every app has one home shard, store::home_shard(app, shards) —
 // FNV-1a 64 of the key mod the shard count — and all of its uploads go
 // there.  Each shard has one worker thread, so the shard count is the
 // service's one parallelism knob: tenants on different shards ingest in
@@ -79,17 +79,12 @@
 
 #include "core/fleet_analyzer.h"
 #include "service/epoch.h"
-#include "store/shard_store.h"
+#include "store/store_root.h"
 
 namespace edx::service {
 
 /// Tenant key: the app's stable identifier (package name, catalog id...).
 using AppKey = std::string;
-
-/// The shard every upload of `app` goes to: FNV-1a 64 over the key bytes,
-/// mod `shards`.  A store root's records sit on these shards, so the
-/// function must never change.  Throws InvalidArgument when shards is 0.
-std::size_t home_shard(std::string_view app, std::size_t shards);
 
 /// How the service runs.  The defaults suit tests and a small host; a
 /// real deployment tunes shards/queue depth to core count and burst
@@ -111,17 +106,12 @@ struct ServiceOptions {
   /// no---reported-fraction behavior).  When false, the fraction in
   /// `analysis.reporting` is used as given.
   bool self_estimate_fraction{true};
-  /// When non-empty, the service root of a PARTITIONED store: one
-  /// tenant-tagged ShardStore per ingest shard at <store_root>/shard-<i>,
-  /// with the shard count pinned by <store_root>/layout.edx.  All
-  /// tenants are recovered at construction; a root in an old on-disk
-  /// format is refused with an Error, never migrated, and so is a root
-  /// where a tenant has records on a shard other than its home shard.
-  /// num_shards 0 adopts an existing root's count: its layout.edx, or
-  /// without one the count its shard-<i> directories imply.  A non-zero
-  /// num_shards that contradicts that count is an error.  A missing
-  /// layout.edx is written only after every shard opened and passed the
-  /// home-shard check.
+  /// When non-empty, a store root (store/store_root.h): one ShardStore
+  /// per ingest shard.  The constructor opens it as every command does
+  /// (a read-only scan of every shard, the checks, then the repairs) and
+  /// recovers every tenant; a refused root throws an Error before any
+  /// file changes.  num_shards 0 adopts the root's count, and any other
+  /// count must equal it.
   std::string store_root;
   store::StoreOptions store;
 };
@@ -253,10 +243,6 @@ class FleetService {
   struct Item;
 
   Tenant& ensure_tenant(const AppKey& app);
-  /// Construction-time store bring-up: opens (or creates) the
-  /// partitioned root, refuses a tenant stored off its home shard, and
-  /// warm-starts every stored tenant.
-  void open_stores();
   [[nodiscard]] const Tenant* find_tenant(const AppKey& app) const;
   /// Builds one stats row from a tenant's counters (callers hold no
   /// tenant lock; every field loads an atomic or the published epoch).

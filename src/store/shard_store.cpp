@@ -4,12 +4,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <map>
+#include <ranges>
 #include <utility>
 
 #include "common/crc32c.h"
@@ -26,6 +25,7 @@ namespace fs = std::filesystem;
 using sutil::manifest_path;
 using sutil::publish_file;
 using sutil::read_file_bytes;
+using sutil::refuse_old_format;
 using sutil::scan_varint;
 using sutil::segment_path;
 using sutil::snapshot_path;
@@ -36,7 +36,6 @@ namespace {
 
 constexpr std::string_view kSegmentMagic = "EDXWAL03";
 constexpr std::string_view kSnapshotMagic = "EDXSNP3";
-constexpr std::string_view kLayoutMagic = "EDXLAY01";
 // Frame kinds: 1 = bundle record; 3 = the same record, but a `string key`
 // precedes it — the tenant's first-ever persisted record registers its
 // key without spending a separate sequence number.  No other kind is
@@ -57,21 +56,11 @@ std::string segment_header(std::uint64_t base) {
   return header;
 }
 
-std::string layout_path(const std::string& root) {
-  return root + "/layout.edx";
-}
-
 /// True when `bytes` open with a complete magic of another EDX format
 /// version (a torn header that is a prefix of `magic` is not one).
 bool foreign_format(std::string_view bytes, std::string_view magic) {
   return bytes.size() >= magic.size() && bytes.starts_with("EDX") &&
          !bytes.starts_with(magic);
-}
-
-[[noreturn]] void refuse_old_format(const std::string& path) {
-  throw Error("store: " + path +
-              " is in an old on-disk format; re-ingest its traces into a "
-              "new store root");
 }
 
 /// One valid record out of a tenant-tagged segment scan.
@@ -222,18 +211,7 @@ bool load_snapshot_file(const std::string& path,
   if (foreign_format(bytes, kSnapshotMagic)) refuse_old_format(path);
   std::vector<SnapshotTenant> loaded;
   try {
-    Reader file{std::string_view(bytes)};
-    if (file.remaining() < kSnapshotMagic.size() ||
-        file.bytes(kSnapshotMagic.size()) != kSnapshotMagic) {
-      return false;
-    }
-    const std::uint64_t payload_len = file.varint();
-    if (file.remaining() != payload_len + 4) return false;
-    const std::string_view payload_bytes =
-        file.bytes(static_cast<std::size_t>(payload_len));
-    if (file.u32le() != common::crc32c(payload_bytes)) return false;
-
-    Reader payload(payload_bytes);
+    Reader payload(sutil::unframe_file(bytes, kSnapshotMagic));
     payload.varint();  // seq; the filename is authoritative
     const std::uint64_t tenant_count = payload.varint();
     if (tenant_count > payload.remaining()) return false;
@@ -282,417 +260,362 @@ bool load_snapshot_file(const std::string& path,
 }  // namespace
 
 // ----------------------------------------------------------------------
-// Partitioned-root layout helpers
+// Recovery: ShardScan, scan, then open
 // ----------------------------------------------------------------------
 
 std::string shard_dir(const std::string& root, std::size_t index) {
   return root + "/shard-" + std::to_string(index);
 }
 
-std::optional<PartitionedLayout> read_layout(const std::string& root) {
-  const std::string path = layout_path(root);
-  if (!fs::exists(path)) return std::nullopt;
-  const std::string bytes = read_file_bytes(path);
-  try {
-    Reader file{std::string_view(bytes)};
-    if (file.remaining() < kLayoutMagic.size() ||
-        file.bytes(kLayoutMagic.size()) != kLayoutMagic) {
-      throw ParseError("bad magic");
-    }
-    const std::uint64_t payload_len = file.varint();
-    if (file.remaining() != payload_len + 4) throw ParseError("bad length");
-    const std::string_view payload_bytes =
-        file.bytes(static_cast<std::size_t>(payload_len));
-    if (file.u32le() != common::crc32c(payload_bytes)) {
-      throw ParseError("CRC32C mismatch");
-    }
-    Reader payload(payload_bytes);
-    PartitionedLayout layout;
-    layout.shard_count = static_cast<std::size_t>(payload.varint());
-    if (!payload.done() || layout.shard_count == 0) {
-      throw ParseError("bad shard count");
-    }
-    return layout;
-  } catch (const ParseError& failure) {
-    // The shard count routes tenants; guessing it would silently split
-    // tenants across shards, so a corrupt layout file is fatal.
-    throw Error("store: corrupt layout file " + path + ": " +
-                failure.what());
+const ShardScan::Tenant& ShardScan::tenant_at(TenantId id) const {
+  if (id >= tenants_.size() || tenants_[id].key.empty()) {
+    throw InvalidArgument("ShardStore: unknown tenant id " +
+                          std::to_string(id));
   }
+  return tenants_[id];
 }
 
-void write_layout(const std::string& root, std::size_t shard_count) {
-  std::string payload;
-  put_varint(payload, shard_count);
-  std::string file;
-  file.reserve(payload.size() + 24);
-  file.append(kLayoutMagic);
-  put_varint(file, payload.size());
-  file += payload;
-  put_u32le(file, common::crc32c(payload));
-  publish_file(layout_path(root), file);
+std::vector<TenantInfo> ShardScan::tenants() const {
+  std::vector<TenantInfo> rows;
+  for (std::size_t id = 0; id < tenants_.size(); ++id) {
+    const Tenant& tenant = tenants_[id];
+    if (tenant.key.empty()) continue;  // unregistered placeholder (gap)
+    rows.push_back({static_cast<TenantId>(id), tenant.key,
+                    tenant.users.size(), tenant.tail.size(), tenant.last_seq});
+  }
+  return rows;
 }
 
-RootInfo inspect_root(const std::string& root) {
-  RootInfo info;
-  if (!fs::exists(root)) return info;  // kMissing
-  if (!fs::is_directory(root)) {
-    throw Error("store: " + root + " is not a directory");
+std::optional<TenantInfo> ShardScan::tenant(const std::string& key) const {
+  for (const TenantInfo& row : tenants()) {
+    if (row.key == key) return row;
   }
-  const std::optional<PartitionedLayout> layout = read_layout(root);
+  return std::nullopt;
+}
 
-  const auto is_store_file = [](const fs::directory_entry& entry) {
-    const std::string name = entry.path().filename().string();
-    return ((name.starts_with("wal-") || name.starts_with("snapshot-")) &&
-            name.ends_with(".edx")) ||
-           name == "manifest.edx";
+std::vector<ShardScan> ShardStore::scan_each(
+    const std::vector<std::string>& directories, const StoreOptions& options) {
+  // Per shard: what the scan loads and merges is built on this thread (it
+  // outlives the scan); only segment decode runs on the pool.
+  struct Shard {
+    ShardScan st;
+    std::vector<std::pair<std::uint64_t, std::string>> segments;
+    std::vector<SegmentScan> scans;
+    std::exception_ptr refused;
   };
-  std::size_t max_shard = 0;
-  bool saw_shard_dir = false;
-  for (const fs::directory_entry& entry : fs::directory_iterator(root)) {
-    const std::string name = entry.path().filename().string();
-    if (!entry.is_directory()) {
-      if (is_store_file(entry)) refuse_old_format(root);
-      continue;
-    }
-    std::size_t index = 0;
-    const char* const end = name.data() + name.size();
-    const bool is_shard = name.starts_with("shard-") && [&] {
-      const auto [ptr, ec] = std::from_chars(name.data() + 6, end, index);
-      return ec == std::errc() && ptr == end;
-    }();
-    if (is_shard) {
-      saw_shard_dir = true;
-      max_shard = std::max(max_shard, index);
-      continue;
-    }
-    std::error_code error;
-    for (const fs::directory_entry& inner :
-         fs::directory_iterator(entry.path(), error)) {
-      if (is_store_file(inner)) refuse_old_format(entry.path().string());
-    }
-  }
-
-  if (layout) {
-    info.kind = RootKind::kPartitioned;
-    info.shard_count = layout->shard_count;
-  } else if (saw_shard_dir) {
-    // Shard directories without a layout file (a crash before
-    // write_layout published): the directory scan is the fallback.
-    info.kind = RootKind::kPartitioned;
-    info.shard_count = max_shard + 1;
-  } else {
-    info.kind = RootKind::kEmpty;
-  }
-  return info;
-}
-
-// ----------------------------------------------------------------------
-// Recovery / open
-// ----------------------------------------------------------------------
-
-struct ShardStore::Recovered {
-  std::string directory;
-  StoreOptions options;
-  RecoveryStats recovery;
-  std::uint64_t last_seq{0};
-  std::deque<Tenant> tenants;
-  std::unordered_map<std::string, TenantId> tenant_by_key;
-  std::vector<SealedSegment> sealed;
-  int active_fd{-1};
-  std::uint64_t active_base{1};
-  std::uint64_t active_last_seq{0};
-  std::size_t active_bytes{0};
-};
-
-ShardStore ShardStore::open(const std::string& directory) {
-  return open(directory, StoreOptions{});
-}
-
-ShardStore ShardStore::open(const std::string& directory,
-                            const StoreOptions& options) {
-  std::error_code ec;
-  fs::create_directories(directory, ec);
-  if (ec || !fs::is_directory(directory)) {
-    throw Error("store: cannot open directory " + directory +
-                (ec ? ": " + ec.message() : ""));
-  }
-  Recovered st;
-  st.directory = directory;
-  st.options = options;
-  if (st.options.segment_target_bytes < 64) {
-    st.options.segment_target_bytes = 64;  // floor: header + one frame
-  }
-
   // Ensures a tenant slot exists for `id` (gaps become unregistered
   // placeholders with an empty key; ids on disk are authoritative).
-  const auto tenant_slot = [&st](TenantId id) -> Tenant& {
-    while (st.tenants.size() <= id) st.tenants.emplace_back();
-    return st.tenants[id];
+  const auto tenant_slot = [](ShardScan& st, TenantId id) -> Tenant& {
+    while (st.tenants_.size() <= id) st.tenants_.emplace_back();
+    return st.tenants_[id];
   };
+  const auto load = [&](Shard& shard, const std::string& directory) {
+    ShardScan& st = shard.st;
+    st.directory_ = directory;
+    st.options_ = options;
+    if (st.options_.segment_target_bytes < 64) {
+      st.options_.segment_target_bytes = 64;  // floor: header + one frame
+    }
+    std::error_code ec;
+    st.exists_ = fs::exists(directory, ec);
+    if (st.exists_ && !fs::is_directory(directory, ec)) {
+      throw Error("store: cannot open directory " + directory +
+                  ": not a directory");
+    }
 
-  // Newest valid snapshot wins; corrupt ones are skipped.
-  {
-    std::vector<SnapshotTenant> sections;
-    for (const auto& [seq, path] : sutil::list_snapshots(directory)) {
-      ++st.recovery.snapshots_found;
-      if (st.recovery.snapshot_seq != 0) continue;
-      if (load_snapshot_file(path, sections)) {
-        st.recovery.snapshot_seq = seq;
-      } else {
-        ++st.recovery.snapshots_skipped;
-      }
-    }
-    for (SnapshotTenant& section : sections) {
-      Tenant& tenant = tenant_slot(section.id);
-      tenant.key = std::move(section.key);
-      tenant.key_persisted = true;
-      tenant.slots = std::move(section.slots);
-      for (const core::AnalyzedTrace& slot : tenant.slots) {
-        tenant.users.insert(slot.user);
-      }
-      tenant.last_seq = st.recovery.snapshot_seq;
-      st.recovery.snapshot_bundle_count += tenant.slots.size();
-      st.tenant_by_key.emplace(tenant.key, section.id);
-    }
-  }
-  st.last_seq = st.recovery.snapshot_seq;
-
-  const auto segments = sutil::list_segments(directory);
-  const auto decode_begin = std::chrono::steady_clock::now();
-  std::vector<SegmentScan> scans(segments.size());
-  if (segments.size() > 1 &&
-      common::ThreadPool::resolve_threads(options.recovery_threads) > 1) {
-    common::ThreadPool pool(
-        common::ThreadPool::resolve_threads(options.recovery_threads));
-    pool.parallel_for(0, segments.size(), [&](std::size_t i) {
-      scans[i] = scan_segment(segments[i].second, segments[i].first,
-                              st.recovery.snapshot_seq);
-    });
-  } else {
-    for (std::size_t i = 0; i < segments.size(); ++i) {
-      scans[i] = scan_segment(segments[i].second, segments[i].first,
-                              st.recovery.snapshot_seq);
-    }
-  }
-  // Everything above only read; refuse old formats before any repair.
-  for (std::size_t i = 0; i < scans.size(); ++i) {
-    if (scans[i].foreign) refuse_old_format(segments[i].second);
-  }
-  sutil::remove_stale_temp_files(directory);
-
-  // Sequential merge in base order: fan tenant-tagged records back out to
-  // per-tenant tails.  Interning happens here, in replay order, so
-  // recovery is byte-identical for any recovery_threads.  The first torn
-  // segment or sequence gap ends the global replay.  Only a tear in the
-  // active segment is repaired; any other stop leaves the store read-only,
-  // since appends after it would never be replayed.
-  bool stop_replay = false;
-  std::uint64_t covered = st.recovery.snapshot_seq;
-  const auto stop = [&st, &stop_replay](const std::string& reason,
-                                        bool repairable) {
-    stop_replay = true;
-    if (!st.recovery.wal_tail_torn) {
-      st.recovery.wal_tail_torn = true;
-      st.recovery.wal_tail_reason = reason;
-    }
-    if (!repairable && st.recovery.read_only_reason.empty()) {
-      st.recovery.read_only_reason = reason;
-    }
-  };
-  for (std::size_t i = 0; i < scans.size(); ++i) {
-    SegmentScan& scan = scans[i];
-    const bool is_active = i + 1 == scans.size();
-    scan.stats.sealed = !is_active;
-    ++st.recovery.segments_scanned;
-    st.recovery.wal_bytes_salvaged += scan.stats.bytes;
-    st.recovery.wal_bytes_dropped += scan.file_size - scan.stats.bytes;
-    if (!stop_replay && scan.stats.base_seq > covered + 1) {
-      stop("sequence gap: records " + std::to_string(covered + 1) + ".." +
-               std::to_string(scan.stats.base_seq - 1) + " missing before " +
-               scan.stats.file,
-           false);
-    }
-    if (stop_replay) {
-      if (!scan.stats.reason.empty()) scan.stats.reason += "; ";
-      scan.stats.reason += "not replayed (replay stopped earlier)";
-    } else {
-      for (ScannedRecord& record : scan.records) {
-        if (record.has_key) {
-          Tenant& tenant = tenant_slot(record.tenant);
-          if (tenant.key.empty()) {
-            tenant.key = record.key;
-            tenant.key_persisted = true;
-            st.tenant_by_key.emplace(tenant.key, record.tenant);
-          } else if (tenant.key != record.key) {
-            // CRC-valid but semantically impossible — a writer bug or
-            // tampering.  Stop the replay like any other bad tail.
-            stop("tenant key conflict for tenant id " +
-                     std::to_string(record.tenant),
-                 false);
-            break;
-          }
-        }
-        if (record.seq <= st.recovery.snapshot_seq) {
-          ++st.recovery.wal_records_obsolete;
+    // Newest valid snapshot wins; corrupt ones are skipped.
+    RecoveryStats& recovery = st.recovery_;
+    if (st.exists_) {
+      std::vector<SnapshotTenant> sections;
+      const auto snapshots = sutil::list_numbered(directory, "snapshot-");
+      for (const auto& [seq, path] : std::views::reverse(snapshots)) {
+        ++recovery.snapshots_found;
+        if (recovery.snapshot_seq != 0) continue;
+        if (load_snapshot_file(path, sections)) {
+          recovery.snapshot_seq = seq;
         } else {
-          if (record.tenant >= st.tenants.size() ||
-              st.tenants[record.tenant].key.empty()) {
-            // A live record for a tenant the snapshot + earlier records
-            // never registered: the prefix that carried its registration
-            // is gone.  Stop rather than guess.
-            stop("record references unregistered tenant id " +
-                     std::to_string(record.tenant),
-                 false);
-            break;
-          }
-          Tenant& tenant = st.tenants[record.tenant];
-          tenant.tail.push_back(std::make_shared<const trace::TraceBundle>(
-              assemble_bundle(std::move(record.parts))));
-          tenant.users.insert(tenant.tail.back()->fleet_key());
-          tenant.last_seq = record.seq;
-          ++st.recovery.wal_records_replayed;
+          ++recovery.snapshots_skipped;
         }
-        st.last_seq = std::max(st.last_seq, record.seq);
       }
-      covered = std::max(covered, scan.stats.last_seq);
+      for (SnapshotTenant& section : sections) {
+        Tenant& tenant = tenant_slot(st, section.id);
+        tenant.key = std::move(section.key);
+        tenant.key_persisted = true;
+        tenant.slots = std::move(section.slots);
+        for (const core::AnalyzedTrace& slot : tenant.slots) {
+          tenant.users.insert(slot.user);
+        }
+        tenant.last_seq = recovery.snapshot_seq;
+        recovery.snapshot_bundle_count += tenant.slots.size();
+        st.tenant_by_key_.emplace(tenant.key, section.id);
+      }
     }
-    // Resolve the per-tenant record counts now that keys are known.
-    for (const auto& [id, count] : scan.tenant_counts) {
-      const std::string label =
-          id < st.tenants.size() && !st.tenants[id].key.empty()
-              ? st.tenants[id].key
-              : "tenant#" + std::to_string(id);
-      scan.stats.tenant_records.emplace_back(label, count);
+    st.last_seq_ = recovery.snapshot_seq;
+
+    if (st.exists_) shard.segments = sutil::list_numbered(directory, "wal-");
+  };
+  std::vector<Shard> shards(directories.size());
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    try {
+      load(shards[s], directories[s]);
+    } catch (...) {
+      shards[s].refused = std::current_exception();
     }
-    if (scan.stats.torn) {
-      ++st.recovery.segments_salvaged;
-      stop(scan.stats.reason, is_active);
-    }
-    scan.records.clear();
   }
 
-  // Repair the active tail (salvage-and-truncate) of a writable store;
-  // sealed segments are immutable and never touched.
-  if (!scans.empty()) {
-    SegmentScan& active = scans.back();
-    const std::string& path = segments.back().second;
-    if (active.stats.torn && st.recovery.read_only_reason.empty()) {
-      const std::string header = segment_header(active.stats.base_seq);
-      if (active.stats.bytes < header.size()) {
-        const int fd = ::open(path.c_str(), O_WRONLY | O_TRUNC);
-        if (fd < 0) throw Error("ShardStore: cannot repair " + path);
-        write_all(fd, header, path);
-        ::close(fd);
-        active.stats.bytes = header.size();
-      } else {
-        fs::resize_file(path, active.stats.bytes);
-      }
-      st.recovery.tail_bytes_truncated =
-          active.file_size - active.stats.bytes;
+  // Every shard's segments decode on one pool.
+  std::vector<std::pair<std::size_t, std::size_t>> jobs;  // shard, segment
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    shards[s].scans.resize(shards[s].segments.size());
+    for (std::size_t i = 0; i < shards[s].segments.size(); ++i) {
+      jobs.emplace_back(s, i);
     }
-    st.active_base = active.stats.base_seq;
-    st.active_last_seq = active.stats.last_seq;
-    st.active_bytes = active.stats.bytes;
-    st.last_seq = std::max(st.last_seq, st.active_last_seq);
-    for (std::size_t i = 0; i + 1 < scans.size(); ++i) {
-      st.sealed.push_back({scans[i].stats.base_seq, scans[i].stats.last_seq,
-                           segments[i].second});
-    }
+  }
+  const auto decode_begin = std::chrono::steady_clock::now();
+  const auto decode = [&shards, &jobs](std::size_t j) {
+    Shard& shard = shards[jobs[j].first];
+    const auto& [base, path] = shard.segments[jobs[j].second];
+    shard.scans[jobs[j].second] =
+        scan_segment(path, base, shard.st.recovery_.snapshot_seq);
+  };
+  const std::size_t threads =
+      common::ThreadPool::resolve_threads(options.recovery_threads);
+  if (jobs.size() > 1 && threads > 1) {
+    common::ThreadPool(threads).parallel_for(0, jobs.size(), decode);
   } else {
-    st.active_base = st.last_seq + 1;
-    st.active_last_seq = st.last_seq;
-    const std::string path = segment_path(directory, st.active_base);
-    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-    if (fd < 0) throw Error("ShardStore: cannot create " + path);
-    const std::string header = segment_header(st.active_base);
-    write_all(fd, header, path);
-    ::close(fd);
-    st.active_bytes = header.size();
+    for (std::size_t j = 0; j < jobs.size(); ++j) decode(j);
   }
-  st.recovery.decode_micros = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - decode_begin)
-          .count());
-  st.recovery.tenants_recovered = st.tenant_by_key.size();
+  const auto decode_time = std::chrono::steady_clock::now() - decode_begin;
 
-  // Manifest cross-check (advisory; the directory scan is authoritative).
-  const std::string man_path = manifest_path(directory);
-  if (fs::exists(man_path)) {
-    const std::optional<ManifestContents> manifest =
-        sutil::read_manifest(man_path);
-    if (!manifest) {
-      st.recovery.manifest_ok = false;
-      st.recovery.manifest_note =
-          "corrupt manifest; recovered from directory scan";
-    } else {
-      // Sealed segments compare by base: a tear lowers a scan's last
-      // valid seq below the manifest's, and that is the scan stopping
-      // short, not the manifest lagging.
-      std::vector<std::uint64_t> listed, found;
-      for (const auto& sealed : manifest->sealed) {
-        listed.push_back(sealed.first);
-      }
-      for (const SealedSegment& sealed : st.sealed) {
-        found.push_back(sealed.base_seq);
-      }
-      const auto torn_sealed = std::find_if(
-          scans.begin(), scans.end(), [](const SegmentScan& scan) {
-            return scan.stats.sealed && scan.stats.torn;
-          });
-      if (manifest->snapshot_seq != st.recovery.snapshot_seq) {
-        st.recovery.manifest_ok = false;
-        st.recovery.manifest_note =
-            "manifest snapshot seq disagrees with newest valid snapshot";
-      } else if (listed != found || manifest->active_base != st.active_base) {
-        st.recovery.manifest_ok = false;
-        st.recovery.manifest_note =
-            "manifest is stale (behind the directory scan)";
-      } else if (torn_sealed != scans.end()) {
-        st.recovery.manifest_ok = false;
-        st.recovery.manifest_note =
-            "the directory scan stopped at torn sealed segment " +
-            torn_sealed->stats.file + "; the manifest lists it in full";
-      }
+  // Merge shard by shard in index order, so the refusal thrown is the
+  // lowest-index shard's however the decode was scheduled.
+  std::vector<ShardScan> out;
+  for (Shard& shard : shards) {
+    if (shard.refused) std::rethrow_exception(shard.refused);
+    ShardScan& st = shard.st;
+    RecoveryStats& recovery = st.recovery_;
+    const auto& segments = shard.segments;
+    std::vector<SegmentScan>& scans = shard.scans;
+    const auto merge_begin = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < scans.size(); ++i) {
+      if (scans[i].foreign) refuse_old_format(segments[i].second);
     }
-  } else if (!segments.empty()) {
-    st.recovery.manifest_ok = false;
-    st.recovery.manifest_note =
-        "manifest missing; recovered from directory scan";
-  }
 
-  for (std::size_t i = 0; i < scans.size(); ++i) {
-    st.recovery.segments.push_back(std::move(scans[i].stats));
-  }
+    // Sequential merge in base order: fan tenant-tagged records back out to
+    // per-tenant tails.  Interning happens here, in replay order, so
+    // recovery is byte-identical for any recovery_threads.  The first torn
+    // segment or sequence gap ends the global replay.  Only a tear in the
+    // active segment is repairable; any other stop leaves the store
+    // read-only, since appends after it would never be replayed.
+    bool stop_replay = false;
+    std::uint64_t covered = recovery.snapshot_seq;
+    const auto stop = [&recovery, &stop_replay](const std::string& reason,
+                                                bool repairable) {
+      stop_replay = true;
+      if (!recovery.wal_tail_torn) {
+        recovery.wal_tail_torn = true;
+        recovery.wal_tail_reason = reason;
+      }
+      if (!repairable && recovery.read_only_reason.empty()) {
+        recovery.read_only_reason = reason;
+      }
+    };
+    for (std::size_t i = 0; i < scans.size(); ++i) {
+      SegmentScan& scan = scans[i];
+      const bool is_active = i + 1 == scans.size();
+      scan.stats.sealed = !is_active;
+      ++recovery.segments_scanned;
+      recovery.wal_bytes_salvaged += scan.stats.bytes;
+      recovery.wal_bytes_dropped += scan.file_size - scan.stats.bytes;
+      if (!stop_replay && scan.stats.base_seq > covered + 1) {
+        stop("sequence gap: records " + std::to_string(covered + 1) + ".." +
+                 std::to_string(scan.stats.base_seq - 1) + " missing before " +
+                 scan.stats.file,
+             false);
+      }
+      if (stop_replay) {
+        if (!scan.stats.reason.empty()) scan.stats.reason += "; ";
+        scan.stats.reason += "not replayed (replay stopped earlier)";
+      } else {
+        for (ScannedRecord& record : scan.records) {
+          if (record.has_key) {
+            Tenant& tenant = tenant_slot(st, record.tenant);
+            if (tenant.key.empty()) {
+              tenant.key = record.key;
+              tenant.key_persisted = true;
+              st.tenant_by_key_.emplace(tenant.key, record.tenant);
+            } else if (tenant.key != record.key) {
+              // CRC-valid but semantically impossible — a writer bug or
+              // tampering.  Stop the replay like any other bad tail.
+              stop("tenant key conflict for tenant id " +
+                       std::to_string(record.tenant),
+                   false);
+              break;
+            }
+          }
+          if (record.seq <= recovery.snapshot_seq) {
+            ++recovery.wal_records_obsolete;
+          } else {
+            if (record.tenant >= st.tenants_.size() ||
+                st.tenants_[record.tenant].key.empty()) {
+              // A live record for a tenant the snapshot + earlier records
+              // never registered: the prefix that carried its registration
+              // is gone.  Stop rather than guess.
+              stop("record references unregistered tenant id " +
+                       std::to_string(record.tenant),
+                   false);
+              break;
+            }
+            Tenant& tenant = st.tenants_[record.tenant];
+            tenant.tail.push_back(std::make_shared<const trace::TraceBundle>(
+                assemble_bundle(std::move(record.parts))));
+            tenant.users.insert(tenant.tail.back()->fleet_key());
+            tenant.last_seq = record.seq;
+            ++recovery.wal_records_replayed;
+          }
+          st.last_seq_ = std::max(st.last_seq_, record.seq);
+        }
+        covered = std::max(covered, scan.stats.last_seq);
+      }
+      // Resolve the per-tenant record counts now that keys are known.
+      for (const auto& [id, count] : scan.tenant_counts) {
+        const std::string label =
+            id < st.tenants_.size() && !st.tenants_[id].key.empty()
+                ? st.tenants_[id].key
+                : "tenant#" + std::to_string(id);
+        scan.stats.tenant_records.emplace_back(label, count);
+      }
+      if (scan.stats.torn) {
+        ++recovery.segments_salvaged;
+        stop(scan.stats.reason, is_active);
+      }
+      scan.records.clear();
+    }
 
-  // Reopen the active tail for appends.
-  {
-    const std::string path = segment_path(directory, st.active_base);
-    st.active_fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
-    if (st.active_fd < 0) throw Error("ShardStore: cannot open " + path);
-  }
+    // The active tail is the only segment a repair may cut; sealed segments
+    // are immutable.  Without any segment, open() creates the first one.
+    if (!scans.empty()) {
+      const SegmentScan& active = scans.back();
+      st.repair_tail_ = active.stats.torn && recovery.read_only_reason.empty();
+      if (st.repair_tail_) {
+        recovery.tail_bytes_truncated = active.file_size - active.stats.bytes;
+      }
+      st.active_base_ = active.stats.base_seq;
+      st.active_last_seq_ = active.stats.last_seq;
+      st.active_bytes_ = active.stats.bytes;
+      st.last_seq_ = std::max(st.last_seq_, st.active_last_seq_);
+      for (std::size_t i = 0; i + 1 < scans.size(); ++i) {
+        st.sealed_segments_.push_back({scans[i].stats.base_seq,
+                                       scans[i].stats.last_seq,
+                                       segments[i].second});
+      }
+    } else {
+      st.active_base_ = st.last_seq_ + 1;
+      st.active_last_seq_ = st.last_seq_;
+    }
+    recovery.decode_micros = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            decode_time + std::chrono::steady_clock::now() - merge_begin)
+            .count());
+    recovery.tenants_recovered = st.tenant_by_key_.size();
 
-  return ShardStore(std::move(st));
+    // Manifest cross-check (advisory; the directory scan is authoritative).
+    const std::string man_path = manifest_path(st.directory_);
+    if (st.exists_ && fs::exists(man_path)) {
+      const std::optional<ManifestContents> manifest =
+          sutil::read_manifest(man_path);
+      if (!manifest) {
+        recovery.manifest_ok = false;
+        recovery.manifest_note =
+            "corrupt manifest; recovered from directory scan";
+      } else {
+        // Sealed segments compare by base: a tear lowers a scan's last
+        // valid seq below the manifest's, and that is the scan stopping
+        // short, not the manifest lagging.
+        std::vector<std::uint64_t> listed, found;
+        for (const auto& sealed : manifest->sealed) {
+          listed.push_back(sealed.first);
+        }
+        for (const SealedSegment& sealed : st.sealed_segments_) {
+          found.push_back(sealed.base_seq);
+        }
+        const auto torn_sealed = std::find_if(
+            scans.begin(), scans.end(), [](const SegmentScan& scan) {
+              return scan.stats.sealed && scan.stats.torn;
+            });
+        if (manifest->snapshot_seq != recovery.snapshot_seq) {
+          recovery.manifest_ok = false;
+          recovery.manifest_note =
+              "manifest snapshot seq disagrees with newest valid snapshot";
+        } else if (listed != found ||
+                   manifest->active_base != st.active_base_) {
+          recovery.manifest_ok = false;
+          recovery.manifest_note =
+              "manifest is stale (behind the directory scan)";
+        } else if (torn_sealed != scans.end()) {
+          recovery.manifest_ok = false;
+          recovery.manifest_note =
+              "the directory scan stopped at torn sealed segment " +
+              torn_sealed->stats.file + "; the manifest lists it in full";
+        }
+      }
+    } else if (!segments.empty()) {
+      recovery.manifest_ok = false;
+      recovery.manifest_note =
+          "manifest missing; recovered from directory scan";
+    }
+
+    for (SegmentScan& scan : scans) {
+      recovery.segments.push_back(std::move(scan.stats));
+    }
+    out.push_back(std::move(st));
+  }
+  return out;
 }
 
-ShardStore::ShardStore(Recovered&& st)
-    : directory_(std::move(st.directory)),
-      options_(st.options),
-      recovery_(std::move(st.recovery)),
-      last_seq_(st.last_seq),
+ShardStore ShardStore::open(ShardScan scan) {
+  const std::string& directory = scan.directory_;
+  std::error_code ec;
+  if (!scan.exists_) fs::create_directories(directory, ec);
+  if (ec) {
+    throw Error("store: cannot open directory " + directory + ": " +
+                ec.message());
+  }
+  // A read-only scan plans no repair: the store changes no file.
+  if (scan.recovery_.read_only_reason.empty()) {
+    sutil::remove_stale_temp_files(directory);
+    const std::string path = segment_path(directory, scan.active_base_);
+    const std::string header = segment_header(scan.active_base_);
+    const bool first = scan.recovery_.segments.empty();
+    if (first || (scan.repair_tail_ && scan.active_bytes_ < header.size())) {
+      // A new store's first segment, or a torn create: just the header.
+      const int fd = ::open(path.c_str(),
+                            O_WRONLY | O_CREAT | (first ? O_EXCL : O_TRUNC),
+                            0644);
+      if (fd < 0) throw Error("ShardStore: cannot create " + path);
+      write_all(fd, header, path);
+      ::close(fd);
+    } else if (scan.repair_tail_) {
+      fs::resize_file(path, scan.active_bytes_);
+    }
+    scan.active_bytes_ = std::max(scan.active_bytes_, header.size());
+  }
+  return ShardStore(std::move(scan));
+}
+
+ShardStore::ShardStore(ShardScan&& scan)
+    : ShardScan(std::move(scan)),
       snapshot_seq_(recovery_.snapshot_seq),
-      tenants_(std::move(st.tenants)),
-      tenant_by_key_(std::move(st.tenant_by_key)),
-      durable_seq_(st.last_seq),
-      sealed_segments_(std::move(st.sealed)),
-      active_fd_(st.active_fd),
-      active_base_(st.active_base),
-      active_last_seq_(st.active_last_seq),
-      active_bytes_(st.active_bytes),
-      written_seq_(st.last_seq) {
-  // Publish a manifest matching recovered reality (a read-only store
-  // changes no file).
-  if (recovery_.read_only_reason.empty()) write_manifest();
+      durable_seq_(last_seq_),
+      written_seq_(last_seq_) {
+  // Reopen the active tail for appends and publish a manifest matching
+  // recovered reality; a read-only store does neither.
+  if (recovery_.read_only_reason.empty()) {
+    const std::string path = segment_path(directory_, active_base_);
+    active_fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
+    if (active_fd_ < 0) throw Error("ShardStore: cannot open " + path);
+    write_manifest();
+  }
   writer_ = std::thread(&ShardStore::writer_loop, this);
 }
 
@@ -747,20 +670,7 @@ void ShardStore::close() {
 
 ShardStore::Tenant& ShardStore::tenant_ref(TenantId id) {
   std::shared_lock<std::shared_mutex> lk(tenant_mutex_);
-  if (id >= tenants_.size() || tenants_[id].key.empty()) {
-    throw InvalidArgument("ShardStore: unknown tenant id " +
-                          std::to_string(id));
-  }
-  return tenants_[id];
-}
-
-const ShardStore::Tenant& ShardStore::tenant_ref(TenantId id) const {
-  std::shared_lock<std::shared_mutex> lk(tenant_mutex_);
-  if (id >= tenants_.size() || tenants_[id].key.empty()) {
-    throw InvalidArgument("ShardStore: unknown tenant id " +
-                          std::to_string(id));
-  }
-  return tenants_[id];
+  return const_cast<Tenant&>(tenant_at(id));
 }
 
 TenantId ShardStore::ensure_tenant(const std::string& key) {
@@ -779,53 +689,6 @@ TenantId ShardStore::ensure_tenant(const std::string& key) {
   Tenant& tenant = tenants_.emplace_back();
   tenant.key = key;
   return it->second;
-}
-
-std::optional<TenantId> ShardStore::find_tenant(
-    const std::string& key) const {
-  std::shared_lock<std::shared_mutex> lk(tenant_mutex_);
-  const auto it = tenant_by_key_.find(key);
-  if (it == tenant_by_key_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::size_t ShardStore::tenant_count() const {
-  std::shared_lock<std::shared_mutex> lk(tenant_mutex_);
-  return tenant_by_key_.size();
-}
-
-const std::string& ShardStore::tenant_key(TenantId id) const {
-  return tenant_ref(id).key;
-}
-
-std::vector<TenantInfo> ShardStore::tenants() const {
-  std::shared_lock<std::shared_mutex> lk(tenant_mutex_);
-  std::vector<TenantInfo> out;
-  out.reserve(tenant_by_key_.size());
-  for (std::size_t id = 0; id < tenants_.size(); ++id) {
-    const Tenant& tenant = tenants_[id];
-    if (tenant.key.empty()) continue;  // unregistered placeholder (gap)
-    TenantInfo& info = out.emplace_back();
-    info.id = static_cast<TenantId>(id);
-    info.key = tenant.key;
-    info.fleet_size = tenant.users.size();
-    info.tail_size = tenant.tail.size();
-    info.last_seq = tenant.last_seq;
-  }
-  return out;
-}
-
-std::vector<core::AnalyzedTrace> ShardStore::snapshot_step1(
-    TenantId id) const {
-  return tenant_ref(id).slots;
-}
-
-const std::vector<BundleRef>& ShardStore::tail_refs(TenantId id) const {
-  return tenant_ref(id).tail;
-}
-
-std::uint64_t ShardStore::tenant_last_seq(TenantId id) const {
-  return tenant_ref(id).last_seq;
 }
 
 void ShardStore::require_writable(const char* operation) const {
@@ -1158,11 +1021,6 @@ void ShardStore::compact() {
   wait_for_compaction();
 }
 
-bool ShardStore::compaction_running() const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return compaction_running_;
-}
-
 void ShardStore::run_compaction(
     std::uint64_t cut,
     std::vector<std::pair<TenantId, std::vector<BundleRef>>> tails) {
@@ -1230,13 +1088,8 @@ void ShardStore::run_compaction(
       payload += body;
     }
 
-    std::string file;
-    file.reserve(payload.size() + 24);
-    file.append(kSnapshotMagic);
-    put_varint(file, payload.size());
-    file += payload;
-    put_u32le(file, common::crc32c(payload));
-    publish_file(snapshot_path(directory_, cut), file);
+    publish_file(snapshot_path(directory_, cut),
+                 sutil::frame_file(kSnapshotMagic, payload));
 
     // The snapshot subsumes every record with seq <= cut: delete the
     // sealed segments it fully covers.
@@ -1256,9 +1109,9 @@ void ShardStore::run_compaction(
     }
     for (const std::string& path : doomed) fs::remove(path);
 
-    const auto snapshots = sutil::list_snapshots(directory_);
-    for (std::size_t i = 2; i < snapshots.size(); ++i) {
-      fs::remove(snapshots[i].second);
+    const auto snapshots = sutil::list_numbered(directory_, "snapshot-");
+    for (std::size_t i = 0; i + 2 < snapshots.size(); ++i) {
+      fs::remove(snapshots[i].second);  // all but the two newest
     }
 
     {

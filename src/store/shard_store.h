@@ -1,5 +1,5 @@
 // Durable, restart-safe storage for the trace fleets of many tenants: one
-// shard of a store root.
+// shard of a store root (store/store_root.h).
 //
 // The paper's deployment is a long-running service: phones upload trace
 // bundles opportunistically and the server re-diagnoses each app's
@@ -9,6 +9,14 @@
 // fdatasync per drained batch; frames carry a tenant tag so recovery fans
 // the records back out to per-tenant fleets.
 //
+//   scan()          changes no file: loads the newest valid snapshot and
+//                   replays the WAL over it (sealed segments decode in
+//                   parallel, merge in sequence order; replay stops at the
+//                   first torn or CRC-failing frame and sequence gap), and
+//                   plans the repair: cut a torn active tail, remove stale
+//                   .tmp files, create a first segment, write the manifest.
+//   open(scan)      applies that plan and starts the writer; open(dir) is
+//                   open(scan(dir)).
 //   append()        encodes the bundle (store/codec.h), adds it to the
 //                   tenant's tail, queues it for the writer, and returns
 //                   once the covering sync completed; append_async()
@@ -21,11 +29,6 @@
 //                   the tail records only), writes them as a snapshot,
 //                   then deletes the sealed segments it subsumes and all
 //                   but the two newest snapshots.  Appends keep flowing.
-//   open()          loads the newest valid snapshot and replays the WAL
-//                   over it: sealed segments decode in parallel and merge
-//                   in sequence order; replay stops at the first record
-//                   whose frame is torn or fails its CRC32C, and at the
-//                   first sequence gap.
 //
 // A tenant's state is Step 1's output for each user the snapshot covers
 // (snapshot_step1(), first-arrival slot order) plus the bundles appended
@@ -83,16 +86,16 @@
 // A segment or snapshot whose complete magic names another EDX format
 // version is refused, and so is a segment holding a CRC-valid frame of a
 // kind other than 1 or 3 (the compressed kinds 2 and 4 of older builds):
-// open() throws before it changes any file.  Only a frame that fails its
-// length or CRC check is a tear.  Old formats are never migrated or
-// repaired; their traces must be re-ingested.
+// scan() throws.  Only a frame that fails its length or CRC check is a
+// tear.  Old formats are never migrated or repaired; their traces must be
+// re-ingested.
 //
 // Replay that stops anywhere but in the torn end of the active segment
 // (a torn sealed segment, a sequence gap, a tenant-key conflict, a record
-// of an unregistered tenant) leaves the store read-only: open() repairs
-// nothing and writes no manifest, reads work, and append(), append_async()
-// and compact_async() throw an Error naming the reason, so no upload is
-// acknowledged that the next open would not replay.
+// of an unregistered tenant) leaves the store read-only: its scan plans
+// no repair, so open() changes no file, reads work, and append(),
+// append_async() and compact_async() throw an Error naming the reason, so
+// no upload is acknowledged that the next open would not replay.
 //
 // Thread safety: append()/append_async()/flush() from any threads, one
 // background compaction; per-tenant read accessors need a quiesced store.
@@ -134,54 +137,104 @@ struct TenantInfo {
   std::uint64_t last_seq{0};  ///< shard seq of the tenant's newest record
 };
 
-// ---------------------------------------------------------------------
-// Partitioned-root layout (a directory of shard stores)
-// ---------------------------------------------------------------------
-
-/// layout.edx pins the shard count of a partitioned store root: records
-/// route to shards by key hash, so reopening with a different count would
-/// silently split tenants across shards.  "EDXLAY01" + varint payload_len
-/// + payload(varint shard_count) + u32le crc32c(payload).
-struct PartitionedLayout {
-  std::size_t shard_count{0};
-};
-
-/// Subdirectory holding shard `index` of a partitioned root.
+/// Subdirectory holding shard `index` of a store root (store/store_root.h).
 std::string shard_dir(const std::string& root, std::size_t index);
 
-/// Reads root/layout.edx.  nullopt when the file is missing; throws Error
-/// when it exists but is corrupt (the shard count cannot be guessed).
-std::optional<PartitionedLayout> read_layout(const std::string& root);
+/// One shard directory as ShardStore::scan() read it, without changing a
+/// file: the recovered tenants and RecoveryStats, plus the repair a
+/// writable open() applies.  A read-only scan (recovery().read_only_reason
+/// set) plans none.  A ShardStore is its scan's state plus the writer.
+class ShardScan {
+ public:
+  ShardScan() = default;  ///< empty; ShardStore::scan() fills one
+  [[nodiscard]] bool exists() const { return exists_; }  ///< open() makes it
+  [[nodiscard]] const RecoveryStats& recovery() const { return recovery_; }
+  [[nodiscard]] std::uint64_t last_seq() const { return last_seq_; }
 
-/// Publishes root/layout.edx (temp + fsync + rename).
-void write_layout(const std::string& root, std::size_t shard_count);
+  // Tenant reads (a ShardStore's need it quiesced): tenants() ascending
+  // id; snapshot_step1() Step 1's output per snapshotted user, slot order;
+  // tail_refs() the later bundles, arrival order.  Unknown ids throw.
+  [[nodiscard]] std::vector<TenantInfo> tenants() const;
+  [[nodiscard]] std::optional<TenantInfo> tenant(const std::string& key) const;
+  [[nodiscard]] const std::vector<core::AnalyzedTrace>& snapshot_step1(
+      TenantId id) const {
+    return tenant_at(id).slots;
+  }
+  [[nodiscard]] const std::vector<BundleRef>& tail_refs(TenantId id) const {
+    return tenant_at(id).tail;
+  }
 
-/// What a store root on disk actually is.
-enum class RootKind {
-  kMissing,      ///< directory does not exist
-  kEmpty,        ///< exists, nothing store-like inside
-  kPartitioned,  ///< layout.edx and/or shard-<i>/ subdirectories
+ private:
+  friend class ShardStore;
+
+  /// Per-tenant fleet state; id-indexed in a deque for stable references
+  /// across concurrent ShardStore::ensure_tenant calls.
+  struct Tenant {
+    std::string key;
+    bool key_persisted{false};  ///< a kind-3 or snapshot record holds it
+    std::uint64_t last_seq{0};
+    /// Step 1's output (user + events) per snapshotted user, slot order;
+    /// written only by scan() and compaction.
+    std::vector<core::AnalyzedTrace> slots;
+    /// Every user the slots or the tail hold (tenants()' fleet_size).
+    std::unordered_set<UserId> users;
+    std::vector<BundleRef> tail;  ///< every record after the snapshot
+  };
+
+  struct SealedSegment {
+    std::uint64_t base_seq{0};
+    std::uint64_t last_seq{0};
+    std::string path;
+  };
+
+  const Tenant& tenant_at(TenantId id) const;
+
+  // In a ShardStore, tenants_ and tenant_by_key_ change under
+  // tenant_mutex_, the rest under mutex_ or on the writer thread.
+  std::string directory_;
+  StoreOptions options_;
+  RecoveryStats recovery_;
+  std::uint64_t last_seq_{0};
+  std::deque<Tenant> tenants_;  ///< id-indexed, reference-stable
+  std::unordered_map<std::string, TenantId> tenant_by_key_;
+  std::vector<SealedSegment> sealed_segments_;
+  std::uint64_t active_base_{1};
+  std::uint64_t active_last_seq_{0};
+  std::size_t active_bytes_{0};
+
+  // The repair plan a writable ShardStore::open() applies, besides
+  // removing stale .tmp files and writing the manifest.
+  bool exists_{false};
+  /// Cut the torn active tail to active_bytes_ (recovery_ counts the
+  /// bytes cut in tail_bytes_truncated).
+  bool repair_tail_{false};
 };
-
-struct RootInfo {
-  RootKind kind{RootKind::kMissing};
-  std::size_t shard_count{0};  ///< kPartitioned only
-};
-
-/// Classifies `root` without opening any store.  Store files at the top
-/// level, or in a subdirectory not named shard-<i>, are an old format:
-/// throws Error naming the path and asking for a re-ingest.
-RootInfo inspect_root(const std::string& root);
 
 // ---------------------------------------------------------------------
 // ShardStore
 // ---------------------------------------------------------------------
 
-class ShardStore {
+class ShardStore : private ShardScan {
  public:
-  static ShardStore open(const std::string& directory);
+  /// Reads `directory` (which need not exist) and changes no file.
+  /// Throws Error for a directory that is not one, or that holds a file
+  /// in another format version.
+  static ShardScan scan(const std::string& directory,
+                        const StoreOptions& options = {}) {
+    return std::move(scan_each({directory}, options).front());
+  }
+  /// scan() of every directory, their segments decoded together on one
+  /// pool of options.recovery_threads; throws the lowest-index refusal.
+  static std::vector<ShardScan> scan_each(
+      const std::vector<std::string>& directories,
+      const StoreOptions& options);
+  /// Applies `scan`'s repair plan, publishes the manifest (a read-only
+  /// scan changes no file) and starts the writer.
+  static ShardStore open(ShardScan scan);
   static ShardStore open(const std::string& directory,
-                         const StoreOptions& options);
+                         const StoreOptions& options = {}) {
+    return open(scan(directory, options));
+  }
 
   ShardStore(const ShardStore&) = delete;
   ShardStore& operator=(const ShardStore&) = delete;
@@ -196,30 +249,21 @@ class ShardStore {
   /// note) because destructors must not throw.
   void close();
 
-  [[nodiscard]] const std::string& directory() const { return directory_; }
-  [[nodiscard]] const StoreOptions& options() const { return options_; }
-  [[nodiscard]] const RecoveryStats& recovery() const { return recovery_; }
+  using ShardScan::last_seq;
+  using ShardScan::recovery;
 
   /// Registers `key` (idempotent) and returns its permanent id.  The key
   /// itself is persisted inline with the tenant's first record (kind 3)
   /// and in every snapshot; registering without ever appending leaves no
   /// trace on disk.
   TenantId ensure_tenant(const std::string& key);
-  [[nodiscard]] std::optional<TenantId> find_tenant(
-      const std::string& key) const;
-  [[nodiscard]] std::size_t tenant_count() const;
-  [[nodiscard]] const std::string& tenant_key(TenantId id) const;
-  /// All tenants, ascending id.
-  [[nodiscard]] std::vector<TenantInfo> tenants() const;
-
-  // Per-tenant reads (quiesced store).  snapshot_step1(): a copy of Step
-  // 1's output for each user the snapshot covers, first-arrival slot
-  // order.  tail_refs(): bundles appended after that snapshot, in arrival
-  // order (zero-copy).
+  using ShardScan::tail_refs;
+  using ShardScan::tenant;
+  using ShardScan::tenants;
   [[nodiscard]] std::vector<core::AnalyzedTrace> snapshot_step1(
-      TenantId id) const;
-  [[nodiscard]] const std::vector<BundleRef>& tail_refs(TenantId id) const;
-  [[nodiscard]] std::uint64_t tenant_last_seq(TenantId id) const;
+      TenantId id) const {
+    return ShardScan::snapshot_step1(id);  // a copy
+  }
 
   /// Durably appends one upload for `id` (blocks for the covering sync).
   /// Returns the record's shard-wide sequence number.
@@ -229,7 +273,6 @@ class ShardStore {
   /// Blocks until every queued record is durable under the fsync policy.
   void flush();
 
-  [[nodiscard]] std::uint64_t last_seq() const { return last_seq_; }
   [[nodiscard]] std::uint64_t snapshot_seq() const { return snapshot_seq_; }
   /// Total fdatasync/fsync calls issued by the writer thread so far — the
   /// group-commit receipt: one batch touching K tenants bumps this once.
@@ -242,23 +285,8 @@ class ShardStore {
   bool compact_async();
   void wait_for_compaction();
   void compact();
-  [[nodiscard]] bool compaction_running() const;
 
  private:
-  /// Per-tenant fleet state; id-indexed in a deque for stable references
-  /// across concurrent ensure_tenant calls.
-  struct Tenant {
-    std::string key;
-    bool key_persisted{false};  ///< a kind-3 or snapshot record holds it
-    std::uint64_t last_seq{0};
-    /// Step 1's output (user + events) per snapshotted user, slot order;
-    /// written only by open() and compaction.
-    std::vector<core::AnalyzedTrace> slots;
-    /// Every user the slots or the tail hold (tenants()' fleet_size).
-    std::unordered_set<UserId> users;
-    std::vector<BundleRef> tail;  ///< every record after the snapshot
-  };
-
   /// One queued, already-encoded WAL record.  `kind` is final (3 for the
   /// tenant's first record, which inlines its key, else 1); the key bytes
   /// are fetched from the tenant at write time (immutable once
@@ -270,17 +298,10 @@ class ShardStore {
     std::string payload;
   };
 
-  struct SealedSegment {
-    std::uint64_t base_seq{0};
-    std::uint64_t last_seq{0};
-    std::string path;
-  };
+  explicit ShardStore(ShardScan&& scan);
 
-  struct Recovered;
-  explicit ShardStore(Recovered&& state);
-
+  /// tenant_at() under tenant_mutex_.
   Tenant& tenant_ref(TenantId id);
-  const Tenant& tenant_ref(TenantId id) const;
 
   std::uint64_t enqueue(TenantId id, const trace::TraceBundle& bundle,
                         bool durable);
@@ -301,17 +322,8 @@ class ShardStore {
   /// Throws when recovery left the store read-only.
   void require_writable(const char* operation) const;
 
-  // --- immutable after open() -----------------------------------------
-  std::string directory_;
-  StoreOptions options_;
-  RecoveryStats recovery_;
-
-  // --- tenant / fleet state (mutex_ when racing appends) ---------------
-  std::uint64_t last_seq_{0};
   std::uint64_t snapshot_seq_{0};
-  std::deque<Tenant> tenants_;  ///< id-indexed, reference-stable
-  std::unordered_map<std::string, TenantId> tenant_by_key_;
-  mutable std::shared_mutex tenant_mutex_;  ///< guards the two above
+  mutable std::shared_mutex tenant_mutex_;  ///< guards tenants_, tenant_by_key_
 
   // --- writer / group commit ------------------------------------------
   mutable std::mutex mutex_;
@@ -335,14 +347,8 @@ class ShardStore {
   std::mutex pool_mutex_;
   std::vector<std::string> payload_pool_;
 
-  std::vector<SealedSegment> sealed_segments_;
-
-  // Writer-thread-private active segment state (active_base_ also read
-  // under mutex_ by write_manifest).
+  // Writer-thread-private active segment state.
   int active_fd_{-1};
-  std::uint64_t active_base_{1};
-  std::uint64_t active_last_seq_{0};
-  std::size_t active_bytes_{0};
   std::uint64_t written_seq_{0};
   bool active_dirty_{false};
   std::string write_buffer_;  ///< writer-private, reused across batches

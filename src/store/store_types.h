@@ -1,5 +1,5 @@
 // The durable store's value types (store/shard_store.h): the bundle
-// handle, the fsync policy knobs, and the recovery report open() fills in.
+// handle, the fsync policy knobs, and the recovery report scan() fills in.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,7 @@ struct StoreOptions {
   std::uint32_t group_window_us{500};
   /// A segment reaching this size is sealed and the next one opened.
   std::size_t segment_target_bytes{8u << 20};
-  /// Threads for parallel segment decode in open(); 0 = hardware.
+  /// Threads for a scan's shards and segments; 0 = hardware.
   std::size_t recovery_threads{0};
 };
 
@@ -50,7 +50,7 @@ struct SegmentStats {
   std::vector<std::pair<std::string, std::size_t>> tenant_records;
 };
 
-/// What open() found and how much of it was usable.
+/// What scan() found and how much of it was usable.
 struct RecoveryStats {
   std::uint64_t snapshot_seq{0};       ///< 0 = recovered without a snapshot
   std::size_t snapshot_bundle_count{0}; ///< Step-1 slots it holds
@@ -68,8 +68,10 @@ struct RecoveryStats {
 
   std::size_t segments_scanned{0};
   std::size_t segments_salvaged{0};    ///< torn segments whose prefix was kept
-  std::size_t tail_bytes_truncated{0}; ///< active-tail bytes cut by repair
-  std::uint64_t decode_micros{0};      ///< wall time of the segment decode+merge
+  std::size_t tail_bytes_truncated{0}; ///< active-tail bytes repair cuts
+  /// Wall time of the segment decode (shared by every shard scanned
+  /// together) plus this shard's merge.
+  std::uint64_t decode_micros{0};
   bool manifest_ok{true};              ///< manifest matched the directory scan
   std::string manifest_note;           ///< why not ("" when ok)
   /// Tenants known after recovery.

@@ -29,38 +29,28 @@ std::string snapshot_path(const std::string& directory, std::uint64_t seq) {
   return directory + "/snapshot-" + std::to_string(seq) + ".edx";
 }
 
-std::vector<std::pair<std::uint64_t, std::string>> list_segments(
-    const std::string& directory) {
+std::vector<std::pair<std::uint64_t, std::string>> list_numbered(
+    const std::string& directory, std::string_view prefix) {
   std::vector<std::pair<std::uint64_t, std::string>> found;
   for (const fs::directory_entry& entry : fs::directory_iterator(directory)) {
     const std::string name = entry.path().filename().string();
-    if (!name.starts_with("wal-") || !name.ends_with(".edx")) continue;
-    const std::string_view digits(name.data() + 4, name.size() - 8);
-    std::uint64_t base = 0;
-    const auto [ptr, ec] = std::from_chars(digits.begin(), digits.end(), base);
-    if (ec != std::errc() || ptr != digits.end() || base == 0) continue;
-    found.emplace_back(base, entry.path().string());
+    if (!name.starts_with(prefix) || !name.ends_with(".edx")) continue;
+    const std::string_view digits(name.data() + prefix.size(),
+                                  name.size() - prefix.size() - 4);
+    std::uint64_t number = 0;
+    const auto [ptr, ec] =
+        std::from_chars(digits.begin(), digits.end(), number);
+    if (ec != std::errc() || ptr != digits.end() || number == 0) continue;
+    found.emplace_back(number, entry.path().string());
   }
   std::sort(found.begin(), found.end());
   return found;
 }
 
-std::vector<std::pair<std::uint64_t, std::string>> list_snapshots(
-    const std::string& directory) {
-  std::vector<std::pair<std::uint64_t, std::string>> found;
-  for (const fs::directory_entry& entry : fs::directory_iterator(directory)) {
-    const std::string name = entry.path().filename().string();
-    if (!name.starts_with("snapshot-") || !name.ends_with(".edx")) continue;
-    const std::string_view digits(name.data() + 9, name.size() - 13);
-    std::uint64_t seq = 0;
-    const auto [ptr, ec] =
-        std::from_chars(digits.begin(), digits.end(), seq);
-    if (ec != std::errc() || ptr != digits.end()) continue;
-    found.emplace_back(seq, entry.path().string());
-  }
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  return found;
+void refuse_old_format(const std::string& path) {
+  throw Error("store: " + path +
+              " is in an old on-disk format; re-ingest its traces into a "
+              "new store root");
 }
 
 std::string read_file_bytes(const std::string& path) {
@@ -127,17 +117,7 @@ std::optional<ManifestContents> read_manifest(const std::string& path) {
   }
   ManifestContents contents;
   try {
-    Reader file{std::string_view(bytes)};
-    if (file.remaining() < kManifestMagic.size() ||
-        file.bytes(kManifestMagic.size()) != kManifestMagic) {
-      return std::nullopt;
-    }
-    const std::uint64_t payload_len = file.varint();
-    if (file.remaining() != payload_len + 4) return std::nullopt;
-    const std::string_view payload_bytes =
-        file.bytes(static_cast<std::size_t>(payload_len));
-    if (file.u32le() != common::crc32c(payload_bytes)) return std::nullopt;
-    Reader payload(payload_bytes);
+    Reader payload(unframe_file(bytes, kManifestMagic));
     contents.snapshot_seq = payload.varint();
     const std::uint64_t sealed_count = payload.varint();
     if (sealed_count > payload.remaining()) return std::nullopt;
@@ -164,13 +144,30 @@ std::string render_manifest(const ManifestContents& contents) {
     put_varint(payload, last);
   }
   put_varint(payload, contents.active_base);
-  std::string file;
-  file.reserve(payload.size() + 24);
-  file.append(kManifestMagic);
+  return frame_file(kManifestMagic, payload);
+}
+
+std::string frame_file(std::string_view magic, std::string_view payload) {
+  std::string file(magic);
   put_varint(file, payload.size());
   file += payload;
   put_u32le(file, common::crc32c(payload));
   return file;
+}
+
+std::string_view unframe_file(std::string_view bytes, std::string_view magic) {
+  Reader file(bytes);
+  if (file.remaining() < magic.size() || file.bytes(magic.size()) != magic) {
+    throw ParseError("bad magic");
+  }
+  const std::uint64_t payload_len = file.varint();
+  if (file.remaining() != payload_len + 4) throw ParseError("bad length");
+  const std::string_view payload =
+      file.bytes(static_cast<std::size_t>(payload_len));
+  if (file.u32le() != common::crc32c(payload)) {
+    throw ParseError("CRC32C mismatch");
+  }
+  return payload;
 }
 
 }  // namespace edx::store::sutil

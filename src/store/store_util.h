@@ -1,7 +1,7 @@
-// File-level plumbing of the WAL-backed store (shard_store.cpp): path
-// naming, directory scans, crash-safe small-file publication, the
-// hand-rolled salvage varint, and the advisory manifest codec.  The
-// per-record framing (and its magic) stays with the store.
+// File-level plumbing of the WAL-backed store (shard_store.cpp,
+// store_root.cpp): path naming, directory scans, small-file framing and
+// crash-safe publication, the hand-rolled salvage varint, and the
+// advisory manifest codec.  The per-record framing stays with the store.
 #pragma once
 
 #include <cstdint>
@@ -21,13 +21,14 @@ std::string segment_path(const std::string& directory, std::uint64_t base);
 std::string manifest_path(const std::string& directory);
 std::string snapshot_path(const std::string& directory, std::uint64_t seq);
 
-/// wal-<base>.edx files in `directory`, ascending base order.
-std::vector<std::pair<std::uint64_t, std::string>> list_segments(
-    const std::string& directory);
+/// `<prefix><number>.edx` files in `directory` (wal-<base>.edx,
+/// snapshot-<seq>.edx), ascending number; number 0 is never written.
+std::vector<std::pair<std::uint64_t, std::string>> list_numbered(
+    const std::string& directory, std::string_view prefix);
 
-/// snapshot-<seq>.edx files in `directory`, newest seq first.
-std::vector<std::pair<std::uint64_t, std::string>> list_snapshots(
-    const std::string& directory);
+/// Throws the one-line Error that refuses `path` as an old on-disk format
+/// and asks for a re-ingest.
+[[noreturn]] void refuse_old_format(const std::string& path);
 
 /// Slurps a file; throws Error when unreadable.
 std::string read_file_bytes(const std::string& path);
@@ -59,6 +60,14 @@ struct ManifestContents {
 /// Parses manifest.edx; nullopt on any damage (the manifest is advisory,
 /// so damage only downgrades manifest_ok, never recovery).
 std::optional<ManifestContents> read_manifest(const std::string& path);
+
+/// The framing layout.edx, manifest.edx and snapshots share: `magic` +
+/// varint payload_len + payload + u32le crc32c(payload).
+std::string frame_file(std::string_view magic, std::string_view payload);
+
+/// frame_file()'s payload inside `bytes`; ParseError when the magic, the
+/// length or the CRC is wrong.
+std::string_view unframe_file(std::string_view bytes, std::string_view magic);
 
 std::string render_manifest(const ManifestContents& contents);
 

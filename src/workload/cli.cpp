@@ -5,6 +5,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <set>
@@ -25,7 +26,7 @@
 #include "loadgen/workload_spec.h"
 #include "power/calibration.h"
 #include "service/fleet_service.h"
-#include "store/shard_store.h"
+#include "store/store_root.h"
 #include "workload/catalog.h"
 #include "workload/experiment.h"
 #include "workload/session.h"
@@ -349,33 +350,22 @@ store::FsyncPolicy parse_fsync_policy(const std::string& text,
       text + "')");
 }
 
-/// `key`'s row of the store's tenants(); a default row when it has none.
-store::TenantInfo stored_tenant(const store::ShardStore& shard_store,
-                                const std::string& key) {
-  for (const store::TenantInfo& info : shard_store.tenants()) {
-    if (info.key == key) return info;
-  }
-  return {};
-}
-
-int analyze_store(const std::string& root, const AnalyzeOptions& options,
-                  std::ostream& out) {
-  const store::RootInfo info = store::inspect_root(root);
-  const std::string home =
-      info.kind == store::RootKind::kPartitioned
-          ? store::shard_dir(
-                root, service::home_shard(kDefaultTenant, info.shard_count))
-          : std::string();
-  if (home.empty() || !fs::is_directory(home)) {
-    throw AnalysisError("store at " + root + " holds no bundles");
-  }
+int analyze_store(const std::string& root_path,
+                  const AnalyzeOptions& options, std::ostream& out) {
   store::StoreOptions store_options;
   store_options.recovery_threads = options.num_threads;
-  const store::ShardStore recovered =
-      store::ShardStore::open(home, store_options);
-  const store::TenantInfo stored = stored_tenant(recovered, kDefaultTenant);
-  if (stored.fleet_size == 0) {
-    throw AnalysisError("store at " + root + " holds no bundles for tenant '" +
+  const store::StoreRoot root = store::StoreRoot::scan(root_path,
+                                                       store_options);
+  root.check();
+  const std::size_t shards = root.shard_count();
+  const store::ShardScan none;
+  const store::ShardScan& home =
+      shards == 0 ? none
+                  : root.shard(store::home_shard(kDefaultTenant, shards));
+  const std::optional<store::TenantInfo> stored = home.tenant(kDefaultTenant);
+  if (!stored || stored->fleet_size == 0) {
+    throw AnalysisError("store at " + root_path +
+                        " holds no bundles for tenant '" +
                         std::string(kDefaultTenant) + "'");
   }
   // Warm restart: the snapshotted slots re-enter the analyzer through
@@ -386,10 +376,10 @@ int analyze_store(const std::string& root, const AnalyzeOptions& options,
   // latest bundle, so --incremental and the default share this one path
   // and byte-identical output.
   core::FleetAnalyzer fleet(analysis_config(options));
-  for (core::AnalyzedTrace& analyzed : recovered.snapshot_step1(stored.id)) {
-    fleet.add_analyzed(std::move(analyzed));
+  for (const core::AnalyzedTrace& analyzed : home.snapshot_step1(stored->id)) {
+    fleet.add_analyzed(analyzed);
   }
-  for (const store::BundleRef& bundle : recovered.tail_refs(stored.id)) {
+  for (const store::BundleRef& bundle : home.tail_refs(stored->id)) {
     fleet.add_bundle(*bundle);
   }
   render_fleet_report(fleet, options, out);
@@ -415,21 +405,18 @@ int cmd_analyze(const std::string& trace_dir, const AnalyzeOptions& options,
 
 namespace {
 
-/// Feeds every bundle the ingest flags name — operand files/directories
-/// first, then the simulated --app population — to `sink` in order, and
-/// returns how many there were.
-template <typename Sink>
-std::size_t each_ingest_bundle(const IngestOptions& options, Sink&& sink) {
-  std::size_t appended = 0;
+/// Every bundle the ingest flags name — operand files/directories first,
+/// then the simulated --app population — in order.  They are all read
+/// before the root opens, so an ingest refused over its inputs writes
+/// nothing.
+std::vector<trace::TraceBundle> ingest_bundles(const IngestOptions& options) {
+  std::vector<trace::TraceBundle> bundles;
   for (const std::string& source : options.sources) {
-    if (fs::is_directory(source)) {
-      for (const std::string& path : bundle_paths(source)) {
-        sink(trace::TraceBundle::from_text(read_file(path)));
-        ++appended;
-      }
-    } else {
-      sink(trace::TraceBundle::from_text(read_file(source)));
-      ++appended;
+    const std::vector<std::string> paths =
+        fs::is_directory(source) ? bundle_paths(source)
+                                 : std::vector<std::string>{source};
+    for (const std::string& path : paths) {
+      bundles.push_back(trace::TraceBundle::from_text(read_file(path)));
     }
   }
   if (options.app_id.has_value()) {
@@ -438,16 +425,15 @@ std::size_t each_ingest_bundle(const IngestOptions& options, Sink&& sink) {
     PopulationConfig population;
     population.num_users = options.users;
     population.seed = options.seed;
-    const CollectedTraces traces =
+    CollectedTraces traces =
         collect_traces(app, app.buggy, /*instrumented=*/true, population);
-    for (const trace::TraceBundle& bundle : traces.bundles) {
-      sink(bundle);
-      ++appended;
-    }
+    bundles.insert(bundles.end(),
+                   std::make_move_iterator(traces.bundles.begin()),
+                   std::make_move_iterator(traces.bundles.end()));
   }
-  require(appended > 0,
+  require(!bundles.empty(),
           "ingest needs bundle files, directories, or --app to simulate");
-  return appended;
+  return bundles;
 }
 
 }  // namespace
@@ -459,41 +445,26 @@ int cmd_ingest(const IngestOptions& options, std::ostream& out) {
   if (options.segment_bytes != 0) {
     store_options.segment_target_bytes = options.segment_bytes;
   }
-  const std::string& root = options.store_dir;
   const std::string& tenant = options.tenant;
   require(!tenant.empty(), "ingest: --tenant needs a non-empty key");
-  const store::RootInfo info = store::inspect_root(root);
-  std::size_t shard_count = options.shards;
-  if (info.kind == store::RootKind::kPartitioned) {
-    require(shard_count == 0 || shard_count == info.shard_count,
-            "ingest: store root '" + root + "' is partitioned for " +
-                std::to_string(info.shard_count) +
-                " shard(s); omit --shards or pass the stored count");
-    shard_count = info.shard_count;
-  }
-  if (shard_count == 0) shard_count = 1;
-  if (!store::read_layout(root)) {
-    fs::create_directories(root);
-    store::write_layout(root, shard_count);
-  }
-  // A tenant's bundles all land on its home shard, as a serving
-  // FleetService routes them, so only that one shard store is opened and
-  // written.  Queue asynchronously and make the whole batch durable with
-  // one flush(): the group-commit writer packs everything into large
-  // writes.
-  const std::size_t home = service::home_shard(tenant, shard_count);
-  store::ShardStore shard_store =
-      store::ShardStore::open(store::shard_dir(root, home), store_options);
+  const std::vector<trace::TraceBundle> bundles = ingest_bundles(options);
+  // A new root gets --shards, or 1.  The bundles land on the tenant's
+  // home shard, as FleetService routes them, made durable by one flush().
+  store::StoreRoot root = store::StoreRoot::scan(
+      options.store_dir, store_options, options.shards, /*fresh=*/1);
+  const std::size_t shard_count = root.shard_count();
+  const std::size_t home = store::home_shard(tenant, shard_count);
+  const std::vector<std::unique_ptr<store::ShardStore>> stores =
+      std::move(root).open();
+  store::ShardStore& shard_store = *stores[home];
   const store::TenantId id = shard_store.ensure_tenant(tenant);
-  const std::size_t appended = each_ingest_bundle(
-      options,
-      [&](const trace::TraceBundle& bundle) {
-        shard_store.append_async(id, bundle);
-      });
+  for (const trace::TraceBundle& bundle : bundles) {
+    shard_store.append_async(id, bundle);
+  }
   shard_store.flush();
-  const store::TenantInfo stored = stored_tenant(shard_store, tenant);
-  out << "ingested " << appended << " bundles into " << root << " shard-"
-      << home << " as tenant '" << tenant << "' (last seq "
+  const store::TenantInfo stored = *shard_store.tenant(tenant);
+  out << "ingested " << bundles.size() << " bundles into " << options.store_dir
+      << " shard-" << home << " as tenant '" << tenant << "' (last seq "
       << stored.last_seq << ", fleet " << stored.fleet_size << " users, "
       << shard_count << " shard(s))\n";
   if (options.compact) {
@@ -535,36 +506,36 @@ void print_segment_line(const store::SegmentStats& segment,
 
 }  // namespace
 
-int cmd_store_info(const std::string& root, std::ostream& out) {
-  require(fs::is_directory(root),
-          "store-info: no store directory at " + root);
-  const store::RootInfo info = store::inspect_root(root);
-  require(info.kind == store::RootKind::kPartitioned,
-          "store-info: " + root + " holds no store");
-  out << "store root: " << root << " (partitioned, " << info.shard_count
-      << " shard(s))\n";
-  if (!store::read_layout(root).has_value()) {
+int cmd_store_info(const std::string& root_path, std::ostream& out) {
+  require(fs::is_directory(root_path),
+          "store-info: no store directory at " + root_path);
+  // A scan alone: inspecting a root repairs nothing.
+  const store::StoreRoot root = store::StoreRoot::scan(root_path);
+  require(root.shard_count() != 0,
+          "store-info: " + root_path + " holds no store");
+  out << "store root: " << root_path << " (partitioned, "
+      << root.shard_count() << " shard(s))\n";
+  if (!root.has_layout()) {
     out << "  layout.edx: missing — shard count inferred from the "
            "shard-<i> directories\n";
   }
   std::string read_only;  // the shards that refuse appends
-  for (std::size_t s = 0; s < info.shard_count; ++s) {
-    const std::string dir = store::shard_dir(root, s);
-    if (!fs::is_directory(dir)) {
+  for (std::size_t s = 0; s < root.shard_count(); ++s) {
+    const store::ShardScan& shard = root.shard(s);
+    if (!shard.exists()) {
       out << "shard-" << s << ": no directory yet (nothing routed here)\n";
       continue;
     }
-    const store::ShardStore shard_store = store::ShardStore::open(dir);
-    const store::RecoveryStats& stats = shard_store.recovery();
+    const store::RecoveryStats& stats = shard.recovery();
     if (!stats.read_only_reason.empty()) {
       read_only += (read_only.empty() ? "shard-" : ", shard-") +
                    std::to_string(s);
     }
-    out << "shard-" << s << ": " << shard_store.tenant_count()
-        << " tenant(s), last seq "
-        << shard_store.last_seq() << ", snapshot seq "
-        << shard_store.snapshot_seq() << "\n";
-    for (const store::TenantInfo& tenant : shard_store.tenants()) {
+    const std::vector<store::TenantInfo> tenants = shard.tenants();
+    out << "shard-" << s << ": " << tenants.size() << " tenant(s), last seq "
+        << shard.last_seq() << ", snapshot seq " << stats.snapshot_seq
+        << "\n";
+    for (const store::TenantInfo& tenant : tenants) {
       out << "  tenant " << tenant.id << " '" << tenant.key << "': fleet "
           << tenant.fleet_size << " users, tail " << tenant.tail_size
           << ", last seq " << tenant.last_seq << "\n";
@@ -590,31 +561,29 @@ int cmd_store_info(const std::string& root, std::ostream& out) {
         << "\n";
     if (stats.wal_tail_torn) {
       out << "  tail: torn — " << stats.wal_tail_reason << " ("
-          << stats.wal_bytes_dropped << " bytes dropped";
-      if (stats.tail_bytes_truncated > 0) {
-        out << ", " << stats.tail_bytes_truncated << " truncated";
-      }
-      out << (stats.read_only_reason.empty()
-                  ? ", repaired on open)\n"
+          << stats.wal_bytes_dropped << " bytes dropped"
+          << (stats.read_only_reason.empty()
+                  ? ", repaired on the next writable open)\n"
                   : "; read-only: nothing repaired, appends refused)\n");
     } else {
       out << "  tail: clean\n";
     }
-    const std::uint64_t behind =
-        shard_store.last_seq() - shard_store.snapshot_seq();
+    const std::uint64_t behind = shard.last_seq() - stats.snapshot_seq;
     out << "  compaction: "
-        << (shard_store.compaction_running()
-                ? "running"
-                : (behind == 0 ? "idle (snapshot is current)"
-                               : "idle (" + std::to_string(behind) +
-                                     " records since snapshot)"))
+        << (behind == 0 ? "idle (snapshot is current)"
+                        : "idle (" + std::to_string(behind) +
+                              " records since snapshot)")
         << "\n";
   }
-  out << "verdict: partitioned layout, "
-      << (read_only.empty() ? "ready to serve"
-                            : "read-only (" + read_only + " stopped replay "
-                                  "short of the log's end)")
-      << "\n";
+  const std::string misplaced = root.misplaced();
+  std::string verdict = "ready to serve";
+  if (!misplaced.empty()) {
+    verdict = "refused: " + misplaced + " (re-ingest its uploads)";
+  } else if (!read_only.empty()) {
+    verdict = "read-only (" + read_only + " stopped replay short of the "
+              "log's end)";
+  }
+  out << "verdict: partitioned layout, " << verdict << "\n";
   return 0;
 }
 

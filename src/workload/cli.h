@@ -61,28 +61,22 @@
 // the machine-readable results JSON perf_smoke.py gates.  Exits 1 when
 // any SLO fails.
 //
-// The durable store (store/shard_store.h) has one on-disk format: a
-// partitioned root, layout.edx (the pinned shard count) plus one
-// tenant-tagged shard store per shard-<i>/ subdirectory — the same root
-// `serve --store-root` recovers.  `ingest` appends bundles into it as
-// tenant --tenant (default "default"), on that tenant's home shard —
-// from bundle files / trace directories given as operands, and/or a
-// simulated population (--app) — under a chosen group-commit fsync
-// policy, optionally compacting afterwards (the compaction runs on the
-// store's background thread; ingest waits for it before reporting).
-// --shards N sets the shard count of a new root.  `analyze --store DIR` recovers tenant "default"
-// (newest valid snapshot + WAL segments, --threads segment decoders,
-// tolerating a torn tail): the snapshotted bundles warm-start
-// core::FleetAnalyzer from the stored Step-1 state, and the report is
-// byte-identical to a never-restarted run over the same uploads.
-// `store-info` prints one block per shard: its tenants, snapshot
-// coverage, WAL replay counts, per-segment recovery diagnostics with
-// per-tenant record counts, manifest status, tail state, and compaction
-// state.  A torn-but-salvaged tail is a diagnostic, not an error.  A
-// root holding store files outside shard-<i>/ directories, files in an
-// older format version, or WAL frames of a kind this build does not
-// write (older builds' --compress frames) is refused with an error that
-// asks for a re-ingest; old formats are never migrated or repaired.
+// The durable store has one on-disk format, a store root
+// (store/store_root.h): layout.edx plus one tenant-tagged shard store per
+// shard-<i>/ — the root `serve --store-root` recovers.  Every command
+// opens it the same way: a read-only scan of every shard, the checks,
+// and, for a writer, the repairs.  `ingest` appends bundles (operand
+// files / trace directories and/or a simulated --app population) as
+// tenant --tenant (default "default") on its home shard, under a chosen
+// group-commit fsync policy, optionally compacting afterwards; --shards
+// N sets a new root's shard count.  `analyze --store DIR` warm-starts
+// core::FleetAnalyzer from tenant "default" (--threads scanners); the
+// report is byte-identical to a never-restarted run over the same
+// uploads.  `store-info` prints one block per shard: tenants, snapshot,
+// WAL replay, per-segment diagnostics, manifest, tail and compaction
+// state.  Neither read command writes: a torn tail is reported, and
+// repaired by the next writer.  A root in an old format, or holding a
+// tenant off its home shard, is refused before any file changes.
 //
 // Exit codes — run() maps exceptions to error classes via exit_code_for():
 //   0  success
@@ -142,7 +136,7 @@ struct AnalyzeOptions {
   std::optional<double> reported_fraction;
   bool as_json{false};
   /// Worker threads (0 = hardware concurrency, 1 = sequential); with
-  /// --store, also the parallel segment-decode width during recovery.
+  /// --store, also the scan's width over shards and segments.
   /// The report is identical either way.
   std::size_t num_threads{0};
   /// Feed bundles one at a time to the incremental FleetAnalyzer instead
@@ -179,7 +173,7 @@ struct IngestOptions {
   /// recovers them.
   std::string tenant{kDefaultTenant};
   /// Shard count when ingest creates a fresh root (0 = 1 shard).  An
-  /// existing layout.edx pins the count; contradicting it is an error.
+  /// existing root pins the count; contradicting it is an error.
   std::size_t shards{0};
   /// Bundle files (trace/recorder.h text format) and/or directories of
   /// bundle_*.txt, appended in the given order (directories in sorted
@@ -204,7 +198,7 @@ struct IngestOptions {
 int cmd_ingest(const IngestOptions& options, std::ostream& out);
 
 /// Prints, for each shard of the store root at `store_dir`, its tenants,
-/// record counts, snapshot seq, and salvage diagnostics.
+/// record counts, snapshot seq, and salvage diagnostics; writes nothing.
 int cmd_store_info(const std::string& store_dir, std::ostream& out);
 
 /// Writes a component-sweep calibration workload for one built-in device

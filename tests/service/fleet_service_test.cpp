@@ -26,7 +26,7 @@
 #include "common/error.h"
 #include "core/pipeline.h"
 #include "core/report_io.h"
-#include "store/shard_store.h"
+#include "store/store_root.h"
 #include "support/temp_root.h"
 
 namespace edx::service {
@@ -637,10 +637,9 @@ void expect_adopts_six_shards(const std::string& root,
     ASSERT_NE(service.snapshot(app), nullptr);
     EXPECT_EQ(render_image(*service.snapshot(app)->image), report);
   }
-  const std::optional<store::PartitionedLayout> layout =
-      store::read_layout(root);
-  ASSERT_TRUE(layout.has_value());
-  EXPECT_EQ(layout->shard_count, 6u);
+  const store::StoreRoot pinned = store::StoreRoot::scan(root);
+  EXPECT_TRUE(pinned.has_layout());
+  EXPECT_EQ(pinned.shard_count(), 6u);
 }
 
 TEST(FleetServiceTest, MissingLayoutAdoptsTheShardDirectoryCount) {
@@ -675,7 +674,8 @@ TEST(FleetServiceTest, MissingLayoutRefusesAWrongCountUntouched) {
 TEST(FleetServiceTest, TenantOffItsHomeShardIsRefusedUntouched) {
   // A root where a tenant has records on a shard other than its home
   // shard cannot be replayed in order, so the service refuses it with a
-  // re-ingest error and appends nothing.
+  // re-ingest error and writes nothing: not even the repairs an open of
+  // the home shard would make.
   const std::string root = edx::test::temp_root() + "/edx_service_offhome";
   fs::remove_all(root);
   ServiceOptions options = make_options(4);
@@ -689,29 +689,15 @@ TEST(FleetServiceTest, TenantOffItsHomeShardIsRefusedUntouched) {
   }
   // "mail" lives on shard 0; give it one record on shard 1 as well, the
   // way a fanned-out writer placed a user's uploads.
-  ASSERT_EQ(home_shard("mail", 4), 0u);
+  ASSERT_EQ(store::home_shard("mail", 4), 0u);
   {
     store::ShardStore stray =
         store::ShardStore::open(store::shard_dir(root, 1));
     stray.append(stray.ensure_tenant("mail"), make_trace(9, true));
   }
-  using ShardState =
-      std::pair<std::uint64_t, std::vector<std::pair<std::string,
-                                                     std::uint64_t>>>;
-  const auto shard_states = [&] {
-    std::vector<ShardState> states;
-    for (std::size_t s = 0; s < 4; ++s) {
-      const store::ShardStore shard =
-          store::ShardStore::open(store::shard_dir(root, s));
-      ShardState state{shard.last_seq(), {}};
-      for (const store::TenantInfo& tenant : shard.tenants()) {
-        state.second.emplace_back(tenant.key, tenant.last_seq);
-      }
-      states.push_back(std::move(state));
-    }
-    return states;
-  };
-  const std::vector<ShardState> before = shard_states();
+  // A crash left a temp file on shard 0, which a writable open removes.
+  write_file(store::shard_dir(root, 0) + "/manifest.edx.tmp", "left");
+  const std::map<std::string, std::string> before = tree_bytes(root);
 
   try {
     FleetService service(options);
@@ -724,7 +710,7 @@ TEST(FleetServiceTest, TenantOffItsHomeShardIsRefusedUntouched) {
         << message;
     EXPECT_NE(message.find("re-ingest"), std::string::npos) << message;
   }
-  EXPECT_EQ(shard_states(), before);
+  EXPECT_EQ(tree_bytes(root), before);
 }
 
 TEST(FleetServiceTest, SingleStoreRootIsRejectedWithClearError) {

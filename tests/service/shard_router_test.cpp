@@ -1,6 +1,6 @@
-// Shard routing: home_shard() is a pure function of the app key, pinned
-// bit for bit (store roots on disk depend on it), and every upload of a
-// tenant lands on that one shard whatever its fleet key.
+// Shard routing: store::home_shard() is a pure function of the app key,
+// pinned bit for bit (store roots on disk depend on it), and every upload
+// of a tenant lands on that one shard whatever its fleet key.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -11,7 +11,7 @@
 
 #include "common/error.h"
 #include "service/fleet_service.h"
-#include "store/shard_store.h"
+#include "store/store_root.h"
 #include "support/temp_root.h"
 
 namespace edx::service {
@@ -37,14 +37,14 @@ trace::TraceBundle upload(UserId user) {
 }
 
 TEST(ShardRouterTest, HomeShardIsDeterministicAndInRange) {
-  EXPECT_THROW(home_shard("app-1", 0), edx::InvalidArgument);
+  EXPECT_THROW(store::home_shard("app-1", 0), edx::InvalidArgument);
   for (const std::string app : {"app-1", "app-2", "com.example.mail", ""}) {
-    const std::size_t home = home_shard(app, 5);
+    const std::size_t home = store::home_shard(app, 5);
     EXPECT_LT(home, 5u);
     // Pure function of the key: stable across calls.
-    EXPECT_EQ(home, home_shard(app, 5));
+    EXPECT_EQ(home, store::home_shard(app, 5));
   }
-  EXPECT_EQ(home_shard("app-1", 1), 0u);
+  EXPECT_EQ(store::home_shard("app-1", 1), 0u);
 }
 
 TEST(ShardRouterTest, HomeShardIsPinnedForFixedKeys) {
@@ -66,7 +66,7 @@ TEST(ShardRouterTest, HomeShardIsPinnedForFixedKeys) {
   const std::size_t shard_counts[4] = {1, 2, 4, 8};
   for (const Pin& pin : pins) {
     for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(home_shard(pin.key, shard_counts[i]), pin.home[i])
+      EXPECT_EQ(store::home_shard(pin.key, shard_counts[i]), pin.home[i])
           << "key '" << pin.key << "', " << shard_counts[i] << " shards";
     }
   }
@@ -91,11 +91,10 @@ TEST(ShardRouterTest, ColdRouteIgnoresFleetKey) {
     service.close();
   }
   std::set<std::string> seen;
+  const store::StoreRoot scanned = store::StoreRoot::scan(root);
   for (std::size_t s = 0; s < 4; ++s) {
-    const store::ShardStore shard =
-        store::ShardStore::open(store::shard_dir(root, s));
-    for (const store::TenantInfo& tenant : shard.tenants()) {
-      EXPECT_EQ(home_shard(tenant.key, 4), s) << tenant.key;
+    for (const store::TenantInfo& tenant : scanned.shard(s).tenants()) {
+      EXPECT_EQ(store::home_shard(tenant.key, 4), s) << tenant.key;
       EXPECT_TRUE(seen.insert(tenant.key).second) << tenant.key;
     }
   }
@@ -105,7 +104,7 @@ TEST(ShardRouterTest, ColdRouteIgnoresFleetKey) {
 TEST(ShardRouterTest, HomeShardsSpreadAcrossShards) {
   std::set<std::size_t> used;
   for (int app = 0; app < 64; ++app) {
-    used.insert(home_shard("app-" + std::to_string(app), 8));
+    used.insert(store::home_shard("app-" + std::to_string(app), 8));
   }
   // 64 FNV-hashed keys over 8 shards: every shard should host someone.
   EXPECT_EQ(used.size(), 8u);

@@ -9,11 +9,12 @@
 // snapshot's Step-1 slots, folded from the tail at each compaction,
 // warm-start the analyzer to the exact bytes of a never-restarted run;
 // and files in an old on-disk format, or holding CRC-valid frames of a
-// kind the store does not write, are refused untouched.  Plus the
-// partitioned-root helpers (layout pinning, root inspection) the service
-// builds on, and (suite FleetStoreTest) the single-fleet store that the
-// CLI's --store commands keep.  See store/shard_store.h and DESIGN.md
-// §13 and §16.
+// kind the store does not write, are refused untouched; a scan changes
+// no file, and open() applies exactly its repair plan.  Plus the store
+// root every command opens through (suite ShardRootTest: layout pinning,
+// the scan's refusals) and (suite FleetStoreTest) the single-fleet store
+// that the CLI's --store commands keep.  See store/shard_store.h,
+// store/store_root.h and DESIGN.md §13 and §16.
 #include "store/shard_store.h"
 
 #include <gtest/gtest.h>
@@ -38,6 +39,7 @@
 #include "core/report_io.h"
 #include "power/tracker.h"
 #include "store/codec.h"
+#include "store/store_root.h"
 #include "support/temp_root.h"
 #include "trace/recorder.h"
 
@@ -107,6 +109,12 @@ std::string render(const core::AnalysisResult& result) {
   options.developer_reported_fraction = 0.25;
   return core::report_to_text(result.report, /*code_map=*/nullptr, options) +
          core::report_to_json(result.report, /*code_map=*/nullptr, options);
+}
+
+/// `key`'s tenant id in `store`, if registered.
+std::optional<TenantId> id_of(const ShardStore& store, const std::string& key) {
+  const std::optional<TenantInfo> info = store.tenant(key);
+  return info ? std::optional<TenantId>(info->id) : std::nullopt;
 }
 
 /// Each user's latest bundle among `refs`, in first-arrival slot order:
@@ -336,82 +344,96 @@ void expect_refused_untouched(const std::string& dir, const std::string& path,
 }
 
 // ---------------------------------------------------------------------
-// Partitioned-root helpers
+// Store roots
 // ---------------------------------------------------------------------
+
+/// Opens `root` for writing with `shards` shards and closes it again.
+void open_root(const std::string& root, std::size_t shards) {
+  static_cast<void>(StoreRoot::scan(root, {}, shards).open());
+}
+
+/// A root that holds only its layout.edx, pinning `shards` shards.
+void layout_only_root(const std::string& root, std::size_t shards) {
+  open_root(root, shards);
+  for (std::size_t s = 0; s < shards; ++s) fs::remove_all(shard_dir(root, s));
+}
 
 TEST(ShardRootTest, LayoutRoundTripsAndRejectsCorruption) {
   const std::string root = temp_store("layout");
-  EXPECT_FALSE(read_layout(root).has_value());
+  EXPECT_FALSE(StoreRoot::scan(root).has_layout());
   fs::create_directories(root);
-  EXPECT_FALSE(read_layout(root).has_value());
+  EXPECT_FALSE(StoreRoot::scan(root).has_layout());
 
-  write_layout(root, 3);
-  const std::optional<PartitionedLayout> layout = read_layout(root);
-  ASSERT_TRUE(layout.has_value());
-  EXPECT_EQ(layout->shard_count, 3u);
+  layout_only_root(root, 3);
+  const StoreRoot pinned = StoreRoot::scan(root);
+  EXPECT_TRUE(pinned.has_layout());
+  EXPECT_EQ(pinned.shard_count(), 3u);
 
   // A corrupt layout file throws rather than guessing a shard count —
   // reopening with the wrong count would silently split tenants.
   std::string bytes = read_file(root + "/layout.edx");
   bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0x01);
   write_file(root + "/layout.edx", bytes);
-  EXPECT_THROW(static_cast<void>(read_layout(root)), Error);
+  EXPECT_THROW(static_cast<void>(StoreRoot::scan(root)), Error);
 }
 
-TEST(ShardRootTest, InspectRootClassifiesEveryKind) {
-  const std::string missing = temp_store("inspect_missing");
-  EXPECT_EQ(inspect_root(missing).kind, RootKind::kMissing);
+TEST(ShardRootTest, ScanClassifiesEveryKind) {
+  // A missing or empty directory holds no store: no shard count.
+  const std::string missing = temp_store("scan_missing");
+  EXPECT_EQ(StoreRoot::scan(missing).shard_count(), 0u);
+  EXPECT_FALSE(fs::exists(missing)) << "a scan created the root";
 
-  const std::string empty = temp_store("inspect_empty");
+  const std::string empty = temp_store("scan_empty");
   fs::create_directories(empty);
-  EXPECT_EQ(inspect_root(empty).kind, RootKind::kEmpty);
+  EXPECT_EQ(StoreRoot::scan(empty).shard_count(), 0u);
 
-  // A layout file alone makes the root partitioned.
-  const std::string pinned = temp_store("inspect_pinned");
-  fs::create_directories(pinned);
-  write_layout(pinned, 4);
+  // A layout file alone pins the count.
+  const std::string pinned = temp_store("scan_pinned");
+  layout_only_root(pinned, 4);
   {
-    const RootInfo info = inspect_root(pinned);
-    EXPECT_EQ(info.kind, RootKind::kPartitioned);
-    EXPECT_EQ(info.shard_count, 4u);
+    const StoreRoot root = StoreRoot::scan(pinned);
+    EXPECT_TRUE(root.has_layout());
+    EXPECT_EQ(root.shard_count(), 4u);
   }
 
   // shard-<i>/ directories alone do too (count inferred from the max).
-  const std::string bare = temp_store("inspect_bare");
+  const std::string bare = temp_store("scan_bare");
   fs::create_directories(shard_dir(bare, 0));
   fs::create_directories(shard_dir(bare, 2));
   {
-    const RootInfo info = inspect_root(bare);
-    EXPECT_EQ(info.kind, RootKind::kPartitioned);
-    EXPECT_EQ(info.shard_count, 3u);
+    const StoreRoot root = StoreRoot::scan(bare);
+    EXPECT_FALSE(root.has_layout());
+    EXPECT_EQ(root.shard_count(), 3u);
+    EXPECT_TRUE(root.shard(0).exists());
+    EXPECT_FALSE(root.shard(1).exists());
   }
 
   // Unrelated subdirectories and files do not make a store.
-  const std::string notes = temp_store("inspect_notes");
+  const std::string notes = temp_store("scan_notes");
   fs::create_directories(notes + "/docs");
   write_file(notes + "/docs/readme.txt", "not a store");
-  EXPECT_EQ(inspect_root(notes).kind, RootKind::kEmpty);
+  EXPECT_EQ(StoreRoot::scan(notes).shard_count(), 0u);
 
   // Store files at the top level are the retired single-store layout:
   // refused with a re-ingest error, never opened or repaired.
-  const std::string single = temp_store("inspect_single");
+  const std::string single = temp_store("scan_single");
   fs::create_directories(single);
   write_file(single + "/wal-1.edx", old_format_segment());
   write_file(single + "/manifest.edx", "EDXMAN01");
   expect_refused_untouched(single, single,
-                           [&] { static_cast<void>(inspect_root(single)); });
+                           [&] { static_cast<void>(StoreRoot::scan(single)); });
 
   // Store directories not named shard-<i> are the retired per-tenant
   // layout — refused too, with or without a layout file beside them.
-  const std::string legacy = temp_store("inspect_legacy");
+  const std::string legacy = temp_store("scan_legacy");
   fs::create_directories(legacy + "/alpha");
   write_file(legacy + "/alpha/wal-1.edx", old_format_segment());
   write_file(legacy + "/alpha/snapshot-1.edx", old_format_snapshot());
   expect_refused_untouched(legacy, legacy + "/alpha",
-                           [&] { static_cast<void>(inspect_root(legacy)); });
-  write_layout(legacy, 2);
+                           [&] { static_cast<void>(StoreRoot::scan(legacy)); });
+  fs::copy_file(pinned + "/layout.edx", legacy + "/layout.edx");
   expect_refused_untouched(legacy, legacy + "/alpha",
-                           [&] { static_cast<void>(inspect_root(legacy)); });
+                           [&] { static_cast<void>(StoreRoot::scan(legacy)); });
 }
 
 // publish_file (layout, manifests, snapshots) renames only after a
@@ -421,10 +443,27 @@ TEST(ShardRootTest, LayoutPublishFailsWhenFsyncFails) {
   const std::string root = temp_store("layout_fsync");
   fs::create_directories(root);
   fs::create_symlink("/dev/null", root + "/layout.edx.tmp");
-  EXPECT_THROW(write_layout(root, 3), Error);
+  EXPECT_THROW(open_root(root, 3), Error);
   EXPECT_FALSE(fs::exists(fs::symlink_status(root + "/layout.edx")));
   EXPECT_FALSE(fs::exists(fs::symlink_status(root + "/layout.edx.tmp")));
-  EXPECT_FALSE(read_layout(root).has_value());
+  EXPECT_FALSE(StoreRoot::scan(root).has_layout());
+}
+
+// When several shards are refused, the scan names the lowest index,
+// however its threads were scheduled.
+TEST(ShardRootTest, LowestRefusedShardIsNamed) {
+  const std::string root = temp_store("lowest_refused");
+  open_root(root, 4);
+  for (const std::size_t s : {1u, 3u}) {
+    write_file(shard_dir(root, s) + "/wal-1.edx", old_format_segment());
+  }
+  StoreOptions parallel;
+  parallel.recovery_threads = 4;
+  for (int round = 0; round < 20; ++round) {
+    expect_refused_untouched(root, shard_dir(root, 1) + "/wal-1.edx", [&] {
+      static_cast<void>(StoreRoot::scan(root, parallel));
+    });
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -434,7 +473,7 @@ TEST(ShardRootTest, LayoutPublishFailsWhenFsyncFails) {
 TEST(ShardStoreTest, OpenCreatesEmptyStore) {
   const std::string dir = temp_store("create");
   const ShardStore store = ShardStore::open(dir);
-  EXPECT_EQ(store.tenant_count(), 0u);
+  EXPECT_EQ(store.tenants().size(), 0u);
   EXPECT_EQ(store.last_seq(), 0u);
   EXPECT_EQ(store.snapshot_seq(), 0u);
   EXPECT_FALSE(store.recovery().wal_tail_torn);
@@ -453,16 +492,16 @@ TEST(ShardStoreTest, EnsureTenantIsIdempotentAndLeavesNoDiskTrace) {
     const TenantId beta = store.ensure_tenant("beta");
     EXPECT_NE(alpha, beta);
     EXPECT_EQ(store.ensure_tenant("alpha"), alpha);
-    EXPECT_EQ(store.tenant_count(), 2u);
-    EXPECT_EQ(store.tenant_key(alpha), "alpha");
-    EXPECT_EQ(store.find_tenant("beta"), std::optional<TenantId>(beta));
-    EXPECT_FALSE(store.find_tenant("gamma").has_value());
-    EXPECT_THROW(static_cast<void>(store.tenant_key(57)), Error);
+    EXPECT_EQ(store.tenants().size(), 2u);
+    EXPECT_EQ(store.tenants()[alpha].key, "alpha");
+    EXPECT_EQ(id_of(store, "beta"), std::optional<TenantId>(beta));
+    EXPECT_FALSE(id_of(store, "gamma").has_value());
+    EXPECT_THROW(static_cast<void>(store.tail_refs(57)), Error);
   }
   // Registration without an append writes nothing: the reopened store
   // has never heard of either tenant.
   const ShardStore recovered = ShardStore::open(dir);
-  EXPECT_EQ(recovered.tenant_count(), 0u);
+  EXPECT_EQ(recovered.tenants().size(), 0u);
   EXPECT_EQ(recovered.last_seq(), 0u);
 }
 
@@ -483,8 +522,8 @@ TEST(ShardStoreTest, InterleavedTenantsRoundTripAcrossReopen) {
     store.append(beta, beta_fleet[1]);
     store.append(alpha, alpha_fleet[2]);
     EXPECT_EQ(store.last_seq(), 5u);  // one shared sequence space
-    EXPECT_EQ(store.tenant_last_seq(alpha), 5u);
-    EXPECT_EQ(store.tenant_last_seq(beta), 4u);
+    EXPECT_EQ(store.tenant("alpha")->last_seq, 5u);
+    EXPECT_EQ(store.tenant("beta")->last_seq, 4u);
     expect_fleet_equals(latest_by_user(store.tail_refs(alpha)), alpha_fleet);
     expect_fleet_equals(latest_by_user(store.tail_refs(beta)), beta_fleet);
   }
@@ -494,9 +533,9 @@ TEST(ShardStoreTest, InterleavedTenantsRoundTripAcrossReopen) {
   EXPECT_EQ(recovered.last_seq(), 5u);
   // Ids are permanent: recovery reassigns the same ones in first-record
   // order.
-  ASSERT_EQ(recovered.tenant_count(), 2u);
-  EXPECT_EQ(recovered.find_tenant("alpha"), std::optional<TenantId>(alpha));
-  EXPECT_EQ(recovered.find_tenant("beta"), std::optional<TenantId>(beta));
+  ASSERT_EQ(recovered.tenants().size(), 2u);
+  EXPECT_EQ(id_of(recovered, "alpha"), std::optional<TenantId>(alpha));
+  EXPECT_EQ(id_of(recovered, "beta"), std::optional<TenantId>(beta));
   expect_fleet_equals(latest_by_user(recovered.tail_refs(alpha)), alpha_fleet);
   expect_fleet_equals(latest_by_user(recovered.tail_refs(beta)), beta_fleet);
 
@@ -659,8 +698,8 @@ TEST(ShardStoreTest, TruncationAtEveryByteOfMixedTenantTailSalvagesPrefix) {
     // beta keeps exactly its salvaged prefix.
     expect_fleet_equals(latest_by_user(store.tail_refs(alpha)), alpha_fleet);
     expect_fleet_equals(latest_by_user(store.tail_refs(beta)), beta_prefix);
-    EXPECT_EQ(store.tenant_last_seq(alpha), 3u);
-    EXPECT_EQ(store.tenant_last_seq(beta), 2u);
+    EXPECT_EQ(store.tenant("alpha")->last_seq, 3u);
+    EXPECT_EQ(store.tenant("beta")->last_seq, 2u);
   }
 }
 
@@ -787,6 +826,49 @@ TEST(ShardStoreTest, RepairedMixedTailAcceptsNewAppends) {
   expect_fleet_equals(latest_by_user(recovered.tail_refs(alpha)), {bundles[0]});
   expect_fleet_equals(latest_by_user(recovered.tail_refs(beta)),
                       {bundles[1], replacement});
+}
+
+// scan() only reads.  On a shard with a torn active tail, a stale temp
+// file and no manifest it changes nothing and reports what it found;
+// open() then applies exactly that plan: cut, remove, publish.
+TEST(ShardStoreTest, ScanChangesNoFileThenOpenAppliesThePlan) {
+  const std::string dir = temp_store("scan_then_open");
+  const std::vector<trace::TraceBundle> bundles = make_fleet(3);
+  {
+    ShardStore store = ShardStore::open(dir);
+    const TenantId id = store.ensure_tenant("alpha");
+    for (const trace::TraceBundle& bundle : bundles) store.append(id, bundle);
+  }
+  const std::string wal = active_wal(dir);
+  const std::string wal_bytes = read_file(wal);
+  write_file(wal, wal_bytes.substr(0, wal_bytes.size() - 25));
+  write_file(dir + "/snapshot-9.edx.tmp", "left by a crash");
+  fs::remove(dir + "/manifest.edx");
+  const std::map<std::string, std::string> before = tree_bytes(dir);
+
+  ShardScan scan = ShardStore::scan(dir);
+  EXPECT_EQ(tree_bytes(dir), before) << "a scan changed files";
+  EXPECT_TRUE(scan.exists());
+  EXPECT_TRUE(scan.recovery().wal_tail_torn);
+  EXPECT_TRUE(scan.recovery().read_only_reason.empty());
+  EXPECT_EQ(scan.recovery().wal_records_replayed, 2u);
+  EXPECT_FALSE(scan.recovery().manifest_ok);
+  ASSERT_TRUE(scan.tenant("alpha").has_value());
+  EXPECT_EQ(scan.tenant("alpha")->fleet_size, 2u);
+  expect_fleet_equals(latest_by_user(scan.tail_refs(scan.tenant("alpha")->id)),
+                      {bundles[0], bundles[1]});
+
+  // The scan counts the bytes its plan cuts; open() cuts exactly those.
+  const std::size_t cut = wal_bytes.size() - 25 -
+                          scan.recovery().segments.back().bytes;
+  EXPECT_GT(cut, 0u);
+  EXPECT_EQ(scan.recovery().tail_bytes_truncated, cut);
+  const ShardStore store = ShardStore::open(std::move(scan));
+  EXPECT_EQ(store.recovery().tail_bytes_truncated, cut);
+  EXPECT_EQ(fs::file_size(wal), wal_bytes.size() - 25 - cut);
+  EXPECT_FALSE(fs::exists(dir + "/snapshot-9.edx.tmp"));
+  EXPECT_TRUE(fs::exists(dir + "/manifest.edx"));
+  EXPECT_EQ(store.last_seq(), 2u);
 }
 
 /// Expects every write entry point of `store` to throw an Error naming
@@ -1044,9 +1126,9 @@ TEST(ShardStoreTest, CompactionFoldsEveryTenantAndKeepsIdMap) {
   EXPECT_EQ(recovered.snapshot_seq(), 5u);
   EXPECT_EQ(recovered.recovery().wal_records_replayed, 0u);
   EXPECT_EQ(recovered.recovery().tenants_recovered, 3u);
-  EXPECT_EQ(recovered.find_tenant("alpha"), std::optional<TenantId>(alpha));
-  EXPECT_EQ(recovered.find_tenant("beta"), std::optional<TenantId>(beta));
-  EXPECT_EQ(recovered.find_tenant("ghost"), std::optional<TenantId>(ghost));
+  EXPECT_EQ(id_of(recovered, "alpha"), std::optional<TenantId>(alpha));
+  EXPECT_EQ(id_of(recovered, "beta"), std::optional<TenantId>(beta));
+  EXPECT_EQ(id_of(recovered, "ghost"), std::optional<TenantId>(ghost));
   EXPECT_TRUE(fleet_step1(recovered, ghost).empty());
   expect_step1_equals(fleet_step1(recovered, alpha), alpha_fleet);
   expect_step1_equals(fleet_step1(recovered, beta), beta_fleet);
@@ -1145,11 +1227,11 @@ TEST(ShardStoreTest, TailFoldMatchesStep1OfLatestBundles) {
   {
     ShardStore store = ShardStore::open(dir);
     for (std::size_t t = 0; t < keys.size(); ++t) {
-      expect_step1_equals(store.snapshot_step1(*store.find_tenant(keys[t])),
+      expect_step1_equals(store.snapshot_step1(*id_of(store, keys[t])),
                           latest[t]);
     }
     for (const auto& [t, bundle] : arrivals) {
-      store.append(*store.find_tenant(keys[t]), bundle);
+      store.append(*id_of(store, keys[t]), bundle);
       std::vector<trace::TraceBundle>& fleet = latest[t];
       const auto slot = std::find_if(
           fleet.begin(), fleet.end(),
@@ -1167,7 +1249,7 @@ TEST(ShardStoreTest, TailFoldMatchesStep1OfLatestBundles) {
   const core::ManifestationAnalyzer batch(make_config(1));
   for (std::size_t t = 0; t < keys.size(); ++t) {
     SCOPED_TRACE(keys[t]);
-    const TenantId id = *recovered.find_tenant(keys[t]);
+    const TenantId id = *id_of(recovered, keys[t]);
     EXPECT_TRUE(recovered.tail_refs(id).empty());
     expect_step1_equals(recovered.snapshot_step1(id), latest[t]);
     core::FleetAnalyzer warm(make_config(1));
@@ -1211,7 +1293,7 @@ TEST(ShardStoreTest, MultiSegmentRecoveryIsIdenticalForAnyThreadCount) {
     // threads ran: the merge (and event interning) is sequential.
     std::string report;
     for (std::size_t t = 0; t < keys.size(); ++t) {
-      const std::optional<TenantId> id = store.find_tenant(keys[t]);
+      const std::optional<TenantId> id = id_of(store, keys[t]);
       ASSERT_TRUE(id.has_value());
       report += render(analyzer.run(latest_by_user(store.tail_refs(*id))));
     }
@@ -1266,10 +1348,14 @@ constexpr char kFleet[] = "default";
 
 TEST(FleetStoreTest, OpenCreatesEmptyStore) {
   // The first ingest into a new root opens a home shard directory whose
-  // parents do not exist yet.
+  // parents do not exist yet.  The scan creates nothing; open() does.
   const std::string dir = shard_dir(temp_store("fleet_create"), 0);
-  const ShardStore store = ShardStore::open(dir);
-  EXPECT_FALSE(store.find_tenant(kFleet).has_value());
+  ShardScan scan = ShardStore::scan(dir);
+  EXPECT_FALSE(scan.exists());
+  EXPECT_TRUE(scan.tenants().empty());
+  EXPECT_FALSE(fs::exists(fs::path(dir).parent_path()));
+  const ShardStore store = ShardStore::open(std::move(scan));
+  EXPECT_FALSE(id_of(store, kFleet).has_value());
   EXPECT_EQ(store.last_seq(), 0u);
   EXPECT_EQ(store.snapshot_seq(), 0u);
   EXPECT_FALSE(store.recovery().wal_tail_torn);
@@ -1304,7 +1390,7 @@ TEST(FleetStoreTest, AppendThenReopenRecoversFleetExactly) {
   ASSERT_EQ(seg.tenant_records.size(), 1u);
   EXPECT_EQ(seg.tenant_records[0],
             (std::pair<std::string, std::size_t>{kFleet, 5u}));
-  EXPECT_EQ(recovered.find_tenant(kFleet), std::optional<TenantId>(id));
+  EXPECT_EQ(id_of(recovered, kFleet), std::optional<TenantId>(id));
   EXPECT_EQ(recovered.last_seq(), 5u);
   expect_fleet_equals(latest_by_user(recovered.tail_refs(id)), bundles);
   // No snapshot yet: everything is tail.
@@ -1578,12 +1664,12 @@ TEST(FleetStoreTest, TruncationBelowHeaderRebuildsWal) {
   {
     ShardStore store = ShardStore::open(dir);
     EXPECT_TRUE(store.recovery().wal_tail_torn);
-    EXPECT_EQ(store.tenant_count(), 0u);
+    EXPECT_EQ(store.tenants().size(), 0u);
     store.append(store.ensure_tenant(kFleet), make_trace(7, true));
   }
   const ShardStore recovered = ShardStore::open(dir);
   EXPECT_FALSE(recovered.recovery().wal_tail_torn);
-  const std::optional<TenantId> id = recovered.find_tenant(kFleet);
+  const std::optional<TenantId> id = id_of(recovered, kFleet);
   ASSERT_TRUE(id.has_value());
   const std::vector<trace::TraceBundle> fleet =
       latest_by_user(recovered.tail_refs(*id));

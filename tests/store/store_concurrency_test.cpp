@@ -57,12 +57,12 @@ std::vector<std::vector<std::string>> fleet_texts(
     const ShardStore& store, const std::vector<std::string>& keys) {
   std::vector<std::vector<std::string>> texts;
   for (const std::string& key : keys) {
-    const std::optional<TenantId> id = store.find_tenant(key);
-    EXPECT_TRUE(id.has_value()) << key;
+    const std::optional<TenantInfo> tenant = store.tenant(key);
+    EXPECT_TRUE(tenant.has_value()) << key;
     std::vector<std::string>& fleet = texts.emplace_back();
-    if (!id.has_value()) continue;
-    std::vector<core::AnalyzedTrace> slots = store.snapshot_step1(*id);
-    for (const BundleRef& bundle : store.tail_refs(*id)) {
+    if (!tenant.has_value()) continue;
+    std::vector<core::AnalyzedTrace> slots = store.snapshot_step1(tenant->id);
+    for (const BundleRef& bundle : store.tail_refs(tenant->id)) {
       const auto slot = std::find_if(
           slots.begin(), slots.end(), [&](const core::AnalyzedTrace& trace) {
             return trace.user == bundle->user;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -398,21 +399,46 @@ TEST(CliTest, StoreInfoReportsTornTailThenRepairedClean) {
   const auto original_size = fs::file_size(wal);
   fs::resize_file(wal, original_size - 20);
 
+  const auto tree = [&] {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : fs::recursive_directory_iterator(store)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::stringstream bytes;
+      bytes << in.rdbuf();
+      files[entry.path().string()] = bytes.str();
+    }
+    return files;
+  };
+  const auto torn = tree();
+
+  // store-info only reads: it reports the tear and the repair to come,
+  // and changes no byte.
   std::ostringstream torn_info;
   EXPECT_EQ(run({"store-info", "--store", store}, torn_info, err), 0);
   EXPECT_NE(torn_info.str().find("'default': fleet 3 users"),
             std::string::npos);
   EXPECT_NE(torn_info.str().find("3 records replayed"), std::string::npos);
   EXPECT_NE(torn_info.str().find("tail: torn"), std::string::npos);
-  EXPECT_NE(torn_info.str().find("repaired on open"), std::string::npos);
+  EXPECT_NE(torn_info.str().find("repaired on the next writable open"),
+            std::string::npos)
+      << torn_info.str();
+  EXPECT_EQ(tree(), torn) << "store-info changed the root";
+  EXPECT_EQ(fs::file_size(wal), original_size - 20);
 
-  // The open above truncated the log to the salvaged prefix; a second
-  // look sees a clean store.
+  // The next ingest opens the root for writing: it cuts the tail back to
+  // the salvaged prefix, then appends the population again.
+  ASSERT_EQ(run({"ingest", "--store", store, "--app", "5", "--users", "4",
+                 "--seed", "9"},
+                out, err),
+            0);
+
   std::ostringstream clean_info;
   EXPECT_EQ(run({"store-info", "--store", store}, clean_info, err), 0);
   EXPECT_NE(clean_info.str().find("tail: clean"), std::string::npos);
-  EXPECT_NE(clean_info.str().find("'default': fleet 3 users"),
-            std::string::npos);
+  EXPECT_NE(clean_info.str().find("'default': fleet 4 users"),
+            std::string::npos)
+      << clean_info.str();
+  EXPECT_NE(clean_info.str().find("7 records replayed"), std::string::npos);
   EXPECT_NE(clean_info.str().find("manifest: ok"), std::string::npos);
 }
 
